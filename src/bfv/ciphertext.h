@@ -48,6 +48,9 @@ struct ShoupCiphertext {
 
   ShoupCiphertext() = default;
   explicit ShoupCiphertext(const Ciphertext& ct) : b(ct.b), a(ct.a) {}
+  // Adopts ct's storage as the operands (ct is left without storage).
+  explicit ShoupCiphertext(Ciphertext&& ct)
+      : b(std::move(ct.b)), a(std::move(ct.a)) {}
 };
 
 }  // namespace cham

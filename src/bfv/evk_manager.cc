@@ -21,6 +21,21 @@ obs::Counter& hit_counter() {
   return c;
 }
 
+// Leaked registry of weak references: managers (and through them the
+// key material) live exactly as long as their consumers, and a context
+// address reused after full teardown can never alias a live entry (an
+// entry is live only while its manager pins the context).
+struct Registry {
+  using Key = std::pair<const BfvContext*, std::string>;
+  std::mutex mu;
+  std::map<Key, std::weak_ptr<EvkManager>> map;
+};
+
+Registry& registry() {
+  static Registry* reg = new Registry;
+  return *reg;
+}
+
 }  // namespace
 
 EvkManager::EvkManager(BfvContextPtr context) : ctx_(std::move(context)) {}
@@ -28,14 +43,10 @@ EvkManager::EvkManager(BfvContextPtr context) : ctx_(std::move(context)) {}
 std::shared_ptr<EvkManager> EvkManager::shared(const BfvContextPtr& context,
                                                const std::string& session) {
   CHAM_CHECK(context != nullptr);
-  using Key = std::pair<const BfvContext*, std::string>;
-  // Leaked registry of weak references: managers (and through them the
-  // key material) live exactly as long as their consumers, and a context
-  // address reused after full teardown can never alias a live entry (an
-  // entry is live only while its manager pins the context).
-  static std::mutex* reg_mu = new std::mutex;
-  static auto* reg = new std::map<Key, std::weak_ptr<EvkManager>>;
-  std::lock_guard<std::mutex> lock(*reg_mu);
+  using Key = Registry::Key;
+  Registry& r = registry();
+  auto* reg = &r.map;
+  std::lock_guard<std::mutex> lock(r.mu);
   // Resolve (or create) the base manager first so a session-scoped
   // manager can delegate its key-independent caches to it; done inline
   // under the same lock (no recursive shared() call).
@@ -59,6 +70,20 @@ std::shared_ptr<EvkManager> EvkManager::shared(const BfvContextPtr& context,
     it = it->second.expired() ? reg->erase(it) : std::next(it);
   }
   return made;
+}
+
+std::vector<std::string> EvkManager::live_sessions(
+    const BfvContextPtr& context) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  std::vector<std::string> out;
+  for (const auto& [key, manager] : r.map) {
+    if (key.first == context.get() && !key.second.empty() &&
+        !manager.expired()) {
+      out.push_back(key.second);
+    }
+  }
+  return out;
 }
 
 std::shared_ptr<const AutomorphTable> EvkManager::automorph_table(u64 k) {

@@ -90,6 +90,11 @@ class EvkManager {
   static std::shared_ptr<EvkManager> shared(const BfvContextPtr& context,
                                             const std::string& session = "");
 
+  // Names of the live session-scoped managers on `context` (the base
+  // manager excluded): key residency made observable, e.g. to check that
+  // a server releases a session's keys once it re-hellos.
+  static std::vector<std::string> live_sessions(const BfvContextPtr& context);
+
   const BfvContextPtr& context() const { return ctx_; }
 
   // Automorph routing tables keyed by Galois element. Coefficient-domain

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "bfv/noise.h"
 #include "common/thread_pool.h"
 #include "nt/bitops.h"
 #include "obs/metrics.h"
@@ -11,105 +12,271 @@ namespace cham {
 
 namespace {
 
+// Group nodes that share one pass over the rotations: σ runs outside the
+// tile's nodes, so each frozen rotation is read once per tile instead of
+// once per node. At paper params, 128×4096, an in-process A/B measured 8
+// about 0.5 ms per request ahead of 1.
+constexpr std::size_t kNodeTile = 8;
+
 std::size_t next_pow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
   return p;
 }
 
-// Per-lane scratch arena: every buffer one row evaluation touches,
-// allocated once per group so the row loop does zero steady-state heap
-// allocation (the product lands out-of-place in `acc` instead of copying
-// a ciphertext per chunk). One accumulator (and one stats block) per
-// in-flight request of the batch; a single-request run is the batch=1
-// case of the same sweep, so the batched path is bit-exact with it by
-// construction.
-struct RowScratch {
-  simd::AlignedU64Vec row_buf;  // streaming path: one decoded matrix row
-  Plaintext pt;              // streaming path: Eq. 1 chunk encoding
-  RnsPoly pt_ntt;            // streaming path: its NTT-domain lift
-  std::vector<Ciphertext> acc;  // per-request dot accumulators (NTT, qp)
-  RnsPoly rescaled_a;        // post-rescale row mask (coeff, base_q)
-  std::vector<HmvpStats> stats;  // per-request counters, merged per group
+// Output layout of an A·v product and the group-node tiling of each
+// packed output. Packed output g holds rows [g·N, g·N + group_rows(g));
+// its pack tree has C = pack_count leaves, and its bottom L levels fold
+// into `nodes` = C/2^L group nodes: node o owns the leaves (rows)
+// o + j·nodes for j in [0, 2^L) — exactly the leaves the first L levels
+// of the tree merge into nodes[o].
+struct Geometry {
+  std::size_t n = 0, rows = 0, cols = 0, chunks = 0, pack_count = 0;
+  int levels = 0;          // L
+  std::size_t sigmas = 0;  // 2^L rotations σ (σ = 0 is the identity)
+  std::size_t nodes = 0;   // group nodes per packed output
+  std::size_t outputs = 0;
+  u64 scale = 0;  // packing correction (2^K)^{-1} mod t, folded into rows
+
+  Geometry(const BfvContextPtr& ctx, std::size_t r, std::size_t c)
+      : n(ctx->n()), rows(r), cols(c) {
+    chunks = (cols + n - 1) / n;
+    outputs = (rows + n - 1) / n;
+    // All outputs share one pack geometry (that of a full group; the
+    // last, possibly smaller, group is padded to the same shape for a
+    // uniform output layout).
+    pack_count = next_pow2(outputs > 1 ? n : rows);
+    // The bottom pack levels hoisted in front of the products (DESIGN.md
+    // §6j): as many as the worst-case noise bound certifies, at most
+    // NoiseEstimator::kHmvpHoistLevels.
+    levels = NoiseEstimator(ctx).hmvp_hoist_levels(log2_exact(pack_count),
+                                                   chunks);
+    sigmas = std::size_t{1} << levels;
+    nodes = pack_count / sigmas;
+    const Modulus& t = ctx->plain_modulus();
+    scale = t.inv(static_cast<u64>(pack_count % t.value()));
+  }
+
+  std::size_t group_rows(std::size_t g) const {
+    return std::min(n, rows - g * n);
+  }
+  // Nodes holding a real row form a prefix of output g's nodes: a node
+  // whose first leaf is padding has only padding leaves, and its value
+  // is the trivial encryption of zero.
+  std::size_t live_nodes(std::size_t g) const {
+    return std::min(nodes, group_rows(g));
+  }
+  // Index of Q_σ for (output g, node o, chunk c) in EncodedMatrix.
+  std::size_t op_index(std::size_t g, std::size_t o, std::size_t sigma,
+                       std::size_t c) const {
+    return ((g * nodes + o) * sigmas + sigma) * chunks + c;
+  }
 };
 
-void init_scratch(RowScratch& s, const BfvContextPtr& ctx,
-                  std::size_t streaming_cols, std::size_t batch) {
-  if (streaming_cols > 0) {
-    s.row_buf.assign(streaming_cols, 0);
-    s.pt.coeffs.assign(ctx->n(), 0);
-    s.pt_ntt = RnsPoly(ctx->base_qp(), true);
+// The Q_σ recursion of one group node, chunk by chunk, on plaintexts mod
+// t. Leaves are the Eq.-1 encodings of the node's rows; each of the L
+// bottom pack levels then maps a subtree pair (E, O) with m = N/2^l and
+// τ = X -> X^{2^l+1} to
+//   Q_σ = E_σ + X^m·O_σ,   Q_{τσ} = τ(E_σ − X^m·O_σ),
+// the tree's merge with the ciphertext replaced by its plaintext
+// factor. Monomials and automorphisms are signed permutations, so the
+// whole recursion is exact mod t. Per-lane buffers; no allocation after
+// construction.
+class QBuilder {
+ public:
+  QBuilder(const HmvpEngine& engine, const Geometry& geo)
+      : engine_(engine), geo_(geo),
+        t_(engine.context()->plain_modulus()),
+        rows_(geo.sigmas, simd::AlignedU64Vec(geo.cols, 0)),
+        w_(geo.sigmas), shifted_(geo.n), diff_(geo.n) {
+    const std::size_t n = geo.n;
+    for (auto& pt : w_) pt.coeffs.assign(n, 0);
+    const Evaluator eval(engine.context());
+    for (int l = 1; l <= geo.levels; ++l) {
+      tau_.push_back(eval.evk().automorph_table((u64{1} << l) + 1));
+    }
   }
-  s.acc.resize(batch);
-  for (auto& acc : s.acc) {
-    acc.b = RnsPoly(ctx->base_qp(), true);
-    acc.a = RnsPoly(ctx->base_qp(), true);
-  }
-  s.rescaled_a = RnsPoly(ctx->base_q(), false);
-  s.stats.assign(batch, HmvpStats{});
-}
 
-// Supplies the NTT-domain Eq.-1 plaintext of (row, chunk); chunk 0 is
-// always requested first for a given row.
-using PtProvider =
-    std::function<const RnsPoly&(std::size_t, std::size_t, RowScratch&)>;
-
-// One row's dot products — the same Eq.-1 plaintext operand multiplied
-// against every request's frozen ct(v) — then per-request INTT, rescale
-// and LWE extraction (the mask through a full INTT and rescale, b' read
-// from the NTT-domain slot sum), entirely within the lane's scratch arena
-// and the caller's preallocated output slots. This is the coalescing core: a
-// batch of B same-matrix requests fetches (or encodes) each row operand
-// once instead of B times. Thread-safe: all shared state (ct_shoup, the
-// provider's sources) is read-only.
-void process_row(const Evaluator& eval, std::size_t row,
-                 const std::vector<std::vector<ShoupCiphertext>>& cts,
-                 const PtProvider& pt_at, RowScratch& s,
-                 std::vector<std::vector<LweCiphertext>>& lwes,
-                 std::size_t slot) {
-  const std::size_t batch = cts.size();
-  const std::size_t chunks = cts[0].size();
-  for (std::size_t b = 0; b < batch; ++b) {
-    s.acc[b].a.set_ntt_form(true);  // from_ntt flipped it last row
+  // Read the node's rows (padding rows stay unread).
+  void load(const RowSource& a, std::size_t g, std::size_t o) {
+    g_ = g;
+    o_ = o;
+    for (std::size_t j = 0; j < geo_.sigmas; ++j) {
+      if (real(j)) a.row(row(j), rows_[j].data());
+    }
   }
-  {
-    // Stage 2 (MultPoly): one Shoup pointwise product per ct(v) chunk per
-    // request, against the chunk operand fetched once for the batch.
-    CHAM_SPAN_ARG("hmvp.multiply_plain_ntt", chunks * batch);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const RnsPoly& pt_ntt = pt_at(row, c, s);
-      for (std::size_t b = 0; b < batch; ++b) {
-        if (c == 0) {
-          eval.multiply_plain_ntt(cts[b][c], pt_ntt, s.acc[b]);
-        } else {
-          eval.multiply_plain_ntt_acc(cts[b][c], pt_ntt, s.acc[b]);
-        }
-        s.stats[b].pointwise_mults += 2 * s.acc[b].b.limbs();
+
+  // Build every Q_σ of the loaded node for chunk c.
+  void build(std::size_t c) {
+    const std::size_t n = geo_.n;
+    for (std::size_t j = 0; j < geo_.sigmas; ++j) {
+      if (real(j)) {
+        engine_.encode_row_chunk_into(rows_[j].data(), geo_.cols, c,
+                                      geo_.scale, w_[j]);
+      } else {
+        std::fill(w_[j].coeffs.begin(), w_[j].coeffs.end(), 0);
       }
     }
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    {
-      // Stage 3 (INTT), mask side only: extraction keeps just the
-      // constant coefficient of b, which the slot sum below reads
-      // straight from the NTT domain.
-      CHAM_SPAN("hmvp.from_ntt");
-      s.acc[b].a.from_ntt();
+    // In place, tree order: at level l the 2^{L-l+1} subtrees are
+    // interleaved (entry e of subtree j at e·width + j), so the merge of
+    // subtrees j and j + width/2 writes its entry pair (2e, 2e+1) over
+    // the two inputs' entries e.
+    std::size_t width = geo_.sigmas;
+    for (int l = 1; l <= geo_.levels; ++l) {
+      const std::size_t half = width / 2;
+      const std::size_t m = n >> l;
+      const AutomorphTable& tau = *tau_[static_cast<std::size_t>(l - 1)];
+      for (std::size_t e = 0; e < (std::size_t{1} << (l - 1)); ++e) {
+        for (std::size_t j = 0; j < half; ++j) {
+          u64* even = w_[2 * e * half + j].coeffs.data();
+          u64* odd = w_[(2 * e + 1) * half + j].coeffs.data();
+          poly_shiftneg(odd, shifted_.data(), n, m, t_);
+          poly_sub(even, shifted_.data(), diff_.data(), n, t_);
+          poly_add(even, shifted_.data(), even, n, t_);
+          poly_automorph(diff_.data(), odd, tau, t_);
+        }
+      }
+      width = half;
     }
-    s.stats[b].inverse_ntts += s.acc[b].a.limbs();
-    // Stage 4 (Rescale + ExtractLWEs).
-    CHAM_SPAN("hmvp.rescale_extract");
-    rescale_extract_lwe0(s.acc[b].b, s.acc[b].a, s.rescaled_a,
-                         lwes[b][slot]);
-    s.stats[b].rescales += 1;
-    s.stats[b].extracts += 1;
+  }
+
+  // Q_σ of the last build(). Tree order e spells the applied level
+  // automorphisms most-significant-first; σ's bit l-1 marks τ_l.
+  const Plaintext& q(std::size_t sigma) const {
+    return w_[bit_reverse(static_cast<std::uint32_t>(sigma), geo_.levels)];
+  }
+
+ private:
+  bool real(std::size_t j) const { return o_ + j * geo_.nodes < geo_.group_rows(g_); }
+  std::size_t row(std::size_t j) const {
+    return g_ * geo_.n + o_ + j * geo_.nodes;
+  }
+
+  const HmvpEngine& engine_;
+  const Geometry& geo_;
+  const Modulus& t_;
+  std::vector<std::shared_ptr<const AutomorphTable>> tau_;  // τ_1..τ_L
+  std::vector<simd::AlignedU64Vec> rows_;  // the node's matrix rows
+  std::vector<Plaintext> w_;               // 2^L polynomials, tree order
+  std::vector<u64> shifted_, diff_;
+  std::size_t g_ = 0, o_ = 0;
+};
+
+// Supplies the NTT-domain operand Q_σ of (output g, node o, chunk c).
+// For a given node, chunk 0 / σ 0 is always requested first, and σ runs
+// through 0..2^L-1 within each chunk.
+struct LaneScratch;
+using QProvider = std::function<const RnsPoly&(
+    std::size_t g, std::size_t o, std::size_t sigma, std::size_t c,
+    LaneScratch&)>;
+
+// Per-lane scratch arena: every buffer a rotation or a group node needs,
+// allocated once per run so the lanes do no steady-state allocation.
+struct LaneScratch {
+  RnsPoly perm;  // base_qp, eval: a permuted key-switch digit
+  RnsPoly a_qp;  // base_qp: a rotation's a, to be rescaled
+  RnsPoly a_q;   // base_q, coeff: a rotation's rounded a
+  std::unique_ptr<QBuilder> q;  // streaming path: the node's Q recursion
+  RnsPoly q_ntt;                // streaming path: Q_σ lifted to base_qp
+
+  LaneScratch(const BfvContextPtr& ctx, const HmvpEngine& engine,
+              const Geometry& geo, bool streaming)
+      : perm(ctx->base_qp(), true),
+        a_qp(ctx->base_qp(), true),
+        a_q(ctx->base_q(), false) {
+    if (streaming) {
+      q = std::make_unique<QBuilder>(engine, geo);
+      q_ntt = RnsPoly(ctx->base_qp(), true);
+    }
+  }
+};
+
+// Per-request state, reused by every request of a batch in turn (no
+// buffer scales with the batch). A request's rotations move into their
+// Shoup form, and the previous request's frozen set is released before
+// the next rotations are built, so one rotation set is resident at a
+// time.
+struct RequestScratch {
+  std::vector<Ciphertext> rot;          // [c·2^L + σ] rot_σ(ct_c), base_qp eval
+  std::vector<ShoupCiphertext> frozen;  // Shoup form of rot (adopts it)
+  // Key-switch digits of round(a/p) of rot[c·2^L + σ] for σ < 2^{L-1}:
+  // the rotations that are rotated again by a higher level.
+  std::vector<std::vector<RnsPoly>> digits;  // [c·2^{L-1} + σ]
+  std::vector<PackNode> nodes;               // one packed output's nodes
+  std::vector<RnsPoly> node_a;  // their a accumulators, base_qp eval
+
+  RequestScratch(const BfvContextPtr& ctx, const Geometry& geo) {
+    rot.resize(geo.chunks * geo.sigmas);
+    frozen.resize(rot.size());
+    if (geo.levels > 0) {
+      digits.assign(geo.chunks * (geo.sigmas / 2),
+                    std::vector<RnsPoly>(ctx->dnum(),
+                                         RnsPoly(ctx->base_qp(), false)));
+    }
+    nodes.resize(geo.nodes);
+    for (auto& node : nodes) {
+      node.b_qp = RnsPoly(ctx->base_qp(), true);
+      node.a_q = RnsPoly(ctx->base_q(), false);
+    }
+    node_a.assign(geo.nodes, RnsPoly(ctx->base_qp(), true));
+  }
+
+  // Release the last request's frozen rotations, then bind fresh
+  // rotation buffers (the pool hands the same slabs back).
+  void start_request(const BfvContextPtr& ctx) {
+    for (auto& f : frozen) f = ShoupCiphertext();
+    for (auto& ct : rot) {
+      ct.b = RnsPoly(ctx->base_qp(), true);
+      ct.a = RnsPoly(ctx->base_qp(), true);
+    }
+  }
+};
+
+// rot_{τσ}(ct) from rot_σ(ct) = (B, A) with the level key of τ: the
+// automorphism permutes B and the digits of round(A/p) as evaluation
+// slots, and the raw key-switch accumulators are left p-scaled over
+// base_qp — B' = τ(B) + Σ_j ksk.b_j ∘ τ(D_j), A' = Σ_j ksk.a_j ∘ τ(D_j),
+// so B' + A'·s ≈ τ(B + A·s) up to the rounding term τ(A mod p)·τ(s) and
+// the key-switch noise.
+void rotate_once(const PackKeys::Level& lvl, const Ciphertext& src,
+                 const std::vector<RnsPoly>& digits, Ciphertext& dst,
+                 RnsPoly& perm) {
+  src.b.automorph_into(*lvl.ntt, dst.b);
+  dst.a.set_zero();
+  dst.a.set_ntt_form(true);
+  for (std::size_t j = 0; j < digits.size(); ++j) {
+    digits[j].automorph_into(*lvl.ntt, perm);
+    lvl.ksk->b[j].mul_pointwise_acc(perm, dst.b);
+    lvl.ksk->a[j].mul_pointwise_acc(perm, dst.a);
   }
 }
 
-// Shared driver for multiply / multiply_encoded: freeze ct(v) into Shoup
-// form once, run each group's rows on pool lanes with per-lane scratch,
-// then pack. streaming_cols > 0 sizes the per-lane row buffer (streaming
-// path); 0 means the provider indexes precomputed chunks.
+// round(x.a / p) over base_q, decomposed into evaluation-form digits.
+// x.a is in evaluation form unless it is a request ciphertext.
+void decompose_rounded_a(const Evaluator& eval, const RnsPoly& a,
+                         LaneScratch& s, std::vector<RnsPoly>& digits,
+                         int threads) {
+  if (a.is_ntt()) {
+    std::copy(a.raw().begin(), a.raw().end(), s.a_qp.raw().begin());
+    s.a_qp.set_ntt_form(true);
+    s.a_qp.from_ntt();
+    divide_round_by_last_into(s.a_qp, s.a_q);
+  } else {
+    divide_round_by_last_into(a, s.a_q);
+  }
+  eval.decompose_ntt_digits(s.a_q, digits, threads);
+}
+
+void check_request(const BfvContextPtr& ctx,
+                   const std::vector<Ciphertext>& ct_v, std::size_t chunks) {
+  CHAM_CHECK_MSG(ct_v.size() == chunks,
+                 "vector ciphertext count must match ceil(cols/N)");
+  for (const auto& ct : ct_v) {
+    CHAM_CHECK_MSG(ct.base() == ctx->base_qp() && !ct.is_ntt(),
+                   "vector ciphertexts must be augmented, coefficient form");
+  }
+}
+
 // Publish one finished run's counters to the process-wide registry (the
 // CHAM-BENCH snapshot side of the observability layer).
 void publish_stats(const HmvpStats& st, std::size_t rows) {
@@ -125,133 +292,200 @@ void publish_stats(const HmvpStats& st, std::size_t rows) {
   reg.counter("hmvp.keyswitches").add(st.keyswitches);
 }
 
-// Shared sweep for a batch of same-matrix requests: one pass over the
-// rows computes every request's dot products (the serving layer's
-// coalescing primitive), then packs each request's LWEs separately. A
-// single request is the batch=1 case, so both public entry points share
-// one code path and stay bit-exact with each other.
+// Shared sweep for a batch of same-matrix requests. Each request runs
+// through the same three stages in turn, reusing one RequestScratch:
+//   rotate  ct(v) to the NTT domain, then its 2^L - 1 rotations through
+//           the level automorphisms (one hoisted decomposition for the
+//           level-1..L rotations of ct(v) itself; a composite re-
+//           decomposes its parent), all p-scaled over base_qp and
+//           frozen into Shoup form;
+//   group   per packed output, node o = Σ_{σ,c} rot_σ(ct_c) ∘ Q_σ, with
+//           one a-side INTT and rescale, on pool lanes;
+//   pack    the NTT-resident tree from level L + 1 (pack_nodes).
+// A single request is the batch=1 case, so every entry point shares one
+// code path and results are bit-exact across batch sizes and thread
+// counts (the lanes only split independent rotations and nodes).
 std::vector<HmvpResult> hmvp_run_batch(
-    const BfvContextPtr& ctx, const Evaluator& eval, const GaloisKeys* gk,
-    std::size_t rows, std::size_t pack_count,
-    const std::vector<HmvpBatchEntry>& entries, int threads,
-    std::size_t streaming_cols, const PtProvider& pt_at) {
-  CHAM_SPAN_ARG("hmvp.run", rows);
-  const std::size_t n = ctx->n();
+    const HmvpEngine& engine, const Evaluator& eval, const GaloisKeys* gk,
+    const Geometry& geo, const std::vector<HmvpBatchEntry>& entries,
+    int threads, bool streaming, const QProvider& q_at) {
+  CHAM_SPAN_ARG("hmvp.run", geo.rows);
+  const BfvContextPtr& ctx = engine.context();
   const std::size_t batch = entries.size();
   CHAM_CHECK_MSG(batch >= 1, "empty request batch");
-  // Resolve each request's pack credentials (engine defaults when null).
-  std::vector<const std::vector<Ciphertext>*> ct_vs(batch);
-  std::vector<const Evaluator*> pack_evals(batch);
-  std::vector<const GaloisKeys*> pack_gks(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ct_vs[b] = entries[b].ct_v;
-    pack_evals[b] = entries[b].eval ? entries[b].eval : &eval;
-    pack_gks[b] = entries[b].gk ? entries[b].gk : gk;
-    CHAM_CHECK_MSG(pack_gks[b] != nullptr || pack_count == 1,
+  for (const auto& entry : entries) {
+    CHAM_CHECK_MSG(entry.ct_v->size() == geo.chunks,
+                   "batched requests must share the chunk count");
+    CHAM_CHECK_MSG((entry.gk ? entry.gk : gk) != nullptr ||
+                       geo.pack_count == 1,
                    "Galois keys required to pack more than one row");
   }
-  std::vector<HmvpResult> results(batch);
-  for (auto& res : results) {
-    res.rows = rows;
-    res.pack_count = pack_count;
-  }
 
-  // Stage 1 for the ciphertext side happens once per request: transform
-  // every chunk of ct(v) to the NTT domain (limb-parallel) and freeze it
-  // into Shoup form — the per-coefficient quotients are amortized over
-  // every row of the sweep.
-  std::vector<std::vector<ShoupCiphertext>> ct_shoup(batch);
-  {
-    CHAM_SPAN_ARG("hmvp.to_ntt", batch * ct_vs[0]->size());
-    for (std::size_t b = 0; b < batch; ++b) {
-      CHAM_CHECK_MSG(ct_vs[b]->size() == ct_vs[0]->size(),
-                     "batched requests must share the chunk count");
-      ct_shoup[b].resize(ct_vs[b]->size());
-      for (std::size_t c = 0; c < ct_vs[b]->size(); ++c) {
-        Ciphertext ct = (*ct_vs[b])[c];
-        ct.to_ntt(threads);
-        results[b].stats.forward_ntts += 2 * ct.b.limbs();
-        ct_shoup[b][c] = ShoupCiphertext(ct);
-      }
-    }
-  }
-
-  // Per-level pack operands (Shoup-frozen Galois keys, automorph tables,
-  // evaluation-domain monomial twiddles) come from each request's
-  // evaluation-key manager: frozen once per GaloisKeys and shared by
-  // every group's reduction tree of every run — repeated products (and
-  // same-session requests within a batch) pay a cache lookup.
-  std::vector<std::shared_ptr<const PackKeys>> pack_keys(batch);
-  if (pack_count > 1) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      pack_keys[b] =
-          pack_evals[b]->evk().pack_keys(*pack_gks[b], log2_exact(pack_count));
-    }
-  }
-
-  obs::Histogram& row_hist =
-      obs::MetricsRegistry::global().histogram("hmvp.row_ns");
   auto& pool = ThreadPool::global();
-  const std::size_t groups = (rows + n - 1) / n;
-  for (auto& res : results) res.packed.reserve(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    CHAM_SPAN_ARG("hmvp.group", g);
-    const std::size_t group_rows = std::min(n, rows - g * n);
-    // Preallocate (and bind) every LWE slot of every request on the
-    // submitting thread before the lanes start: rows extract in place,
-    // and the slots past group_rows stay zero — the pack-geometry
-    // padding (trivial encryptions of 0) with no per-slot allocation
-    // inside the row loop.
-    std::vector<std::vector<LweCiphertext>> lwes(batch);
-    for (auto& req_lwes : lwes) {
-      req_lwes.resize(pack_count);
-      for (auto& lwe : req_lwes) {
-        lwe.base = ctx->base_q();
-        lwe.b.assign(ctx->base_q()->size(), 0);
-        lwe.a = RnsPoly(ctx->base_q(), false);  // zero-initialized
-      }
-    }
-    const int lanes = static_cast<int>(
-        std::min<std::size_t>(std::max(threads, 1), group_rows));
-    std::vector<RowScratch> scratch(lanes);
-    for (auto& s : scratch) init_scratch(s, ctx, streaming_cols, batch);
-    pool.run(lanes, [&](int lane) {
-      RowScratch& s = scratch[lane];
-      for (std::size_t r = static_cast<std::size_t>(lane); r < group_rows;
-           r += static_cast<std::size_t>(lanes)) {
-        CHAM_SPAN_ARG("hmvp.row", g * n + r);
-        const std::uint64_t t0 = obs::TraceRecorder::now_ns();
-        process_row(eval, g * n + r, ct_shoup, pt_at, s, lwes, r);
-        row_hist.record(obs::TraceRecorder::now_ns() - t0);
-      }
-    });
-    for (const auto& s : scratch) {
-      for (std::size_t b = 0; b < batch; ++b) results[b].stats.merge(s.stats[b]);
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-      CHAM_SPAN_ARG("hmvp.pack", pack_count);
-      Ciphertext packed =
-          (pack_count == 1)
-              ? lwe_to_rlwe(lwes[b][0])
-              : pack_lwes(*pack_evals[b], lwes[b], *pack_keys[b], threads);
-      results[b].stats.pack_merges += pack_count - 1;
-      results[b].stats.keyswitches += pack_count - 1;
-      results[b].packed.push_back(std::move(packed));
-    }
+  const std::size_t lane_work = std::max<std::size_t>(
+      geo.nodes, geo.chunks * std::max<std::size_t>(geo.sigmas / 2, 1));
+  const int max_lanes = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(threads, 1)),
+                            lane_work));
+  std::vector<LaneScratch> lanes;
+  lanes.reserve(static_cast<std::size_t>(max_lanes));
+  for (int i = 0; i < max_lanes; ++i) {
+    lanes.emplace_back(ctx, engine, geo, streaming);
   }
-  for (const auto& res : results) publish_stats(res.stats, rows);
-  return results;
-}
+  RequestScratch rs(ctx, geo);
+  const PackKeys no_keys;
+  // Group nodes per tile: the streaming provider builds one node's Q set
+  // at a time, so it runs node by node.
+  const std::size_t tile = streaming ? 1 : kNodeTile;
+  const std::size_t qp_limbs = ctx->base_qp()->size();
+  const std::size_t half = geo.sigmas / 2;
 
-HmvpResult hmvp_run(const BfvContextPtr& ctx, const Evaluator& eval,
-                    const GaloisKeys* gk, std::size_t rows,
-                    std::size_t pack_count,
-                    const std::vector<Ciphertext>& ct_v, int threads,
-                    std::size_t streaming_cols, const PtProvider& pt_at) {
-  auto results =
-      hmvp_run_batch(ctx, eval, gk, rows, pack_count, {HmvpBatchEntry{&ct_v}},
-                     threads, streaming_cols, pt_at);
-  return std::move(results[0]);
+  std::vector<HmvpResult> results(batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::vector<Ciphertext>& ct_v = *entries[b].ct_v;
+    const Evaluator& pack_eval = entries[b].eval ? *entries[b].eval : eval;
+    const GaloisKeys* pack_gk = entries[b].gk ? entries[b].gk : gk;
+    HmvpResult& res = results[b];
+    res.rows = geo.rows;
+    res.pack_count = geo.pack_count;
+    HmvpStats& st = res.stats;
+    // Per-level operands (Shoup-frozen Galois keys, automorph tables,
+    // monomial twiddles) from the request's evaluation-key manager:
+    // frozen once per GaloisKeys, then a cache lookup.
+    std::shared_ptr<const PackKeys> keys;
+    if (geo.pack_count > 1) {
+      keys = pack_eval.evk().pack_keys(*pack_gk, log2_exact(geo.pack_count));
+    }
+    const PackKeys& pk = keys ? *keys : no_keys;
+    rs.start_request(ctx);
+
+    {
+      // Stage 1 for the ciphertext side: every chunk of ct(v) to the
+      // NTT domain (limb-parallel), plus the hoisted decomposition of
+      // round(a/p) that all of ct(v)'s own rotations share.
+      CHAM_SPAN_ARG("hmvp.to_ntt", geo.chunks);
+      for (std::size_t c = 0; c < geo.chunks; ++c) {
+        Ciphertext& r0 = rs.rot[c * geo.sigmas];
+        std::copy(ct_v[c].b.raw().begin(), ct_v[c].b.raw().end(),
+                  r0.b.raw().begin());
+        std::copy(ct_v[c].a.raw().begin(), ct_v[c].a.raw().end(),
+                  r0.a.raw().begin());
+        r0.b.set_ntt_form(false);
+        r0.a.set_ntt_form(false);
+        r0.to_ntt(threads);
+        st.forward_ntts += 2 * qp_limbs;
+        if (geo.levels > 0) {
+          decompose_rounded_a(eval, ct_v[c].a, lanes[0], rs.digits[c * half],
+                              threads);
+        }
+      }
+    }
+    {
+      // The rotation set, level by level: level l rotates every σ built
+      // so far (σ < 2^{l-1}) by τ_l, writing σ + 2^{l-1}; the results
+      // that a higher level rotates again are decomposed on the lane.
+      CHAM_SPAN_ARG("hmvp.rotate", geo.chunks * (geo.sigmas - 1));
+      for (int l = 1; l <= geo.levels; ++l) {
+        const PackKeys::Level& lvl = pk.levels[static_cast<std::size_t>(l)];
+        const std::size_t built = std::size_t{1} << (l - 1);
+        const std::size_t tasks = geo.chunks * built;
+        const int n_lanes = static_cast<int>(
+            std::min<std::size_t>(static_cast<std::size_t>(max_lanes), tasks));
+        pool.run(n_lanes, [&](int lane) {
+          LaneScratch& s = lanes[static_cast<std::size_t>(lane)];
+          for (std::size_t task = static_cast<std::size_t>(lane); task < tasks;
+               task += static_cast<std::size_t>(n_lanes)) {
+            const std::size_t c = task / built, sigma = task % built;
+            const std::size_t dst = sigma + built;
+            Ciphertext& out = rs.rot[c * geo.sigmas + dst];
+            rotate_once(lvl, rs.rot[c * geo.sigmas + sigma],
+                        rs.digits[c * half + sigma], out, s.perm);
+            if (dst < half) {
+              decompose_rounded_a(eval, out.a, s, rs.digits[c * half + dst], 1);
+            }
+          }
+        });
+      }
+      st.keyswitches += geo.chunks * (geo.sigmas - 1);
+      pool.parallel_for(0, rs.rot.size(), max_lanes, [&](std::size_t i) {
+        rs.frozen[i] = ShoupCiphertext(std::move(rs.rot[i]));
+      });
+    }
+
+    res.packed.reserve(geo.outputs);
+    for (std::size_t g = 0; g < geo.outputs; ++g) {
+      const std::size_t live = geo.live_nodes(g);
+      for (std::size_t o = 0; o < geo.nodes; ++o) {
+        PackNode& node = rs.nodes[o];
+        if (node.a_q.base() == nullptr) {  // moved out by the last tree
+          node.a_q = RnsPoly(ctx->base_q(), false);
+        }
+        node.b_qp.set_ntt_form(true);
+        if (o >= live) {
+          node.b_qp.set_zero();
+          node.a_q.set_zero();
+        }
+      }
+      const std::size_t tiles = (live + tile - 1) / tile;
+      const int n_lanes = static_cast<int>(
+          std::min<std::size_t>(static_cast<std::size_t>(max_lanes), tiles));
+      pool.run(n_lanes, [&](int lane) {
+        LaneScratch& s = lanes[static_cast<std::size_t>(lane)];
+        for (std::size_t k = static_cast<std::size_t>(lane); k < tiles;
+             k += static_cast<std::size_t>(n_lanes)) {
+          const std::size_t lo = k * tile, hi = std::min(live, lo + tile);
+          CHAM_SPAN_ARG("hmvp.group", g * geo.nodes + lo);
+          {
+            // Stage 2 (MultPoly): one Shoup product per rotation, chunk
+            // and node against the node's Q_σ. σ runs outside the tile's
+            // nodes so each rotation is fetched once per tile.
+            CHAM_SPAN_ARG("hmvp.multiply_plain_ntt",
+                          (hi - lo) * geo.chunks * geo.sigmas);
+            for (std::size_t c = 0; c < geo.chunks; ++c) {
+              for (std::size_t sigma = 0; sigma < geo.sigmas; ++sigma) {
+                const ShoupCiphertext& r = rs.frozen[c * geo.sigmas + sigma];
+                for (std::size_t o = lo; o < hi; ++o) {
+                  const RnsPoly& q = q_at(g, o, sigma, c, s);
+                  RnsPoly& acc_b = rs.nodes[o].b_qp;
+                  RnsPoly& acc_a = rs.node_a[o];
+                  if (c == 0 && sigma == 0) {
+                    acc_a.set_ntt_form(true);
+                    r.b.mul_pointwise(q, acc_b);
+                    r.a.mul_pointwise(q, acc_a);
+                  } else {
+                    r.b.mul_pointwise_acc(q, acc_b);
+                    r.a.mul_pointwise_acc(q, acc_a);
+                  }
+                }
+              }
+            }
+          }
+          for (std::size_t o = lo; o < hi; ++o) {
+            {
+              // Stage 3 (INTT), a side only: b stays p-scaled in the
+              // evaluation domain, the tree's lazy node form.
+              CHAM_SPAN("hmvp.from_ntt");
+              rs.node_a[o].from_ntt();
+            }
+            CHAM_SPAN("hmvp.rescale");
+            divide_round_by_last_into(rs.node_a[o], rs.nodes[o].a_q);
+          }
+        }
+      });
+      st.pointwise_mults += live * geo.chunks * geo.sigmas * 2 * qp_limbs;
+      st.inverse_ntts += live * qp_limbs;
+      st.rescales += live;
+      if (streaming) st.forward_ntts += live * geo.chunks * geo.sigmas * qp_limbs;
+
+      CHAM_SPAN_ARG("hmvp.pack", geo.nodes);
+      res.packed.push_back(
+          pack_nodes(pack_eval, rs.nodes, geo.levels + 1, pk, threads));
+      st.pack_merges += geo.nodes - 1;
+      st.keyswitches += geo.nodes - 1;
+    }
+    publish_stats(st, geo.rows);
+  }
+  return results;
 }
 
 }  // namespace
@@ -293,70 +527,52 @@ HmvpResult HmvpEngine::multiply(const RowSource& a,
                                 const std::vector<Ciphertext>& ct_v,
                                 int threads) const {
   CHAM_CHECK_MSG(threads >= 1, "thread count must be positive");
-  const std::size_t n = ctx_->n();
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  CHAM_CHECK_MSG(rows >= 1 && cols >= 1, "empty matrix");
-  const std::size_t chunks = (cols + n - 1) / n;
-  CHAM_CHECK_MSG(ct_v.size() == chunks,
-                 "vector ciphertext count must match ceil(cols/N)");
-  for (const auto& ct : ct_v) {
-    CHAM_CHECK_MSG(ct.base() == ctx_->base_qp() && !ct.is_ntt(),
-                   "vector ciphertexts must be augmented, coefficient form");
-  }
-
-  const std::size_t groups = (rows + n - 1) / n;
-  const std::size_t rows_last = rows - (groups - 1) * n;
-  // All groups share one pack geometry (that of a full group; the last,
-  // possibly smaller, group is padded to the same shape for a uniform
-  // output layout).
-  const std::size_t pack_count = next_pow2(groups > 1 ? n : rows_last);
-  const Modulus& t = ctx_->plain_modulus();
-  const u64 scale = t.inv(static_cast<u64>(pack_count % t.value()));
-
-  const PtProvider pt_at = [&](std::size_t row, std::size_t c,
-                               RowScratch& s) -> const RnsPoly& {
-    // Streaming stage 1 (plaintext side): Eq. 1 encode + forward NTT.
-    CHAM_SPAN_ARG("hmvp.encode_row", row);
-    if (c == 0) a.row(row, s.row_buf.data());
-    encode_row_chunk_into(s.row_buf.data(), cols, c, scale, s.pt);
-    eval_.transform_plain_ntt_into(s.pt, s.pt_ntt);
-    // The encode+NTT is paid once per row regardless of batch size;
-    // attribute it to the first request (streaming runs are batch=1).
-    s.stats[0].forward_ntts += s.pt_ntt.limbs();
-    return s.pt_ntt;
+  CHAM_CHECK_MSG(a.rows() >= 1 && a.cols() >= 1, "empty matrix");
+  const Geometry geo(ctx_, a.rows(), a.cols());
+  check_request(ctx_, ct_v, geo.chunks);
+  // Streaming stage 1 (plaintext side): each lane runs its node's Q
+  // recursion per chunk, then lifts and transforms each Q_σ.
+  const QProvider q_at = [&](std::size_t g, std::size_t o, std::size_t sigma,
+                             std::size_t c, LaneScratch& s) -> const RnsPoly& {
+    CHAM_SPAN_ARG("hmvp.encode_row", g * geo.nodes + o);
+    if (c == 0 && sigma == 0) s.q->load(a, g, o);
+    if (sigma == 0) s.q->build(c);
+    eval_.transform_plain_ntt_into(s.q->q(sigma), s.q_ntt);
+    return s.q_ntt;
   };
-  return hmvp_run(ctx_, eval_, gk_, rows, pack_count, ct_v, threads, cols,
-                  pt_at);
+  auto results = hmvp_run_batch(*this, eval_, gk_, geo,
+                                {HmvpBatchEntry{&ct_v}}, threads,
+                                /*streaming=*/true, q_at);
+  return std::move(results[0]);
 }
 
 EncodedMatrix HmvpEngine::encode_matrix(const RowSource& a,
                                         int threads) const {
   CHAM_CHECK_MSG(threads >= 1, "thread count must be positive");
-  const std::size_t n = ctx_->n();
+  CHAM_CHECK_MSG(a.rows() >= 1 && a.cols() >= 1, "empty matrix");
+  const Geometry geo(ctx_, a.rows(), a.cols());
   EncodedMatrix enc;
   enc.rows_ = a.rows();
   enc.cols_ = a.cols();
-  enc.chunks_ = (a.cols() + n - 1) / n;
-  const std::size_t groups = (a.rows() + n - 1) / n;
-  const std::size_t rows_last = a.rows() - (groups - 1) * n;
-  enc.pack_count_ = next_pow2(groups > 1 ? n : rows_last);
-  const Modulus& t = ctx_->plain_modulus();
-  const u64 scale = t.inv(static_cast<u64>(enc.pack_count_ % t.value()));
-
-  enc.row_chunks_.resize(a.rows() * enc.chunks_);
+  enc.chunks_ = geo.chunks;
+  enc.pack_count_ = geo.pack_count;
+  enc.q_ops_.resize(geo.outputs * geo.nodes * geo.sigmas * geo.chunks);
+  const std::size_t work = geo.outputs * geo.nodes;
   const int lanes = static_cast<int>(
-      std::min<std::size_t>(std::max(threads, 1), std::max<std::size_t>(a.rows(), 1)));
+      std::min<std::size_t>(static_cast<std::size_t>(threads), work));
   ThreadPool::global().run(lanes, [&](int lane) {
-    simd::AlignedU64Vec row_buf(a.cols());
-    Plaintext pt;
-    for (std::size_t r = static_cast<std::size_t>(lane); r < a.rows();
-         r += static_cast<std::size_t>(lanes)) {
-      a.row(r, row_buf.data());
-      for (std::size_t c = 0; c < enc.chunks_; ++c) {
-        encode_row_chunk_into(row_buf.data(), a.cols(), c, scale, pt);
-        enc.row_chunks_[r * enc.chunks_ + c] =
-            eval_.transform_plain_ntt(pt, ctx_->base_qp());
+    QBuilder q(*this, geo);
+    for (std::size_t i = static_cast<std::size_t>(lane); i < work;
+         i += static_cast<std::size_t>(lanes)) {
+      const std::size_t g = i / geo.nodes, o = i % geo.nodes;
+      if (o >= geo.live_nodes(g)) continue;  // stays unbound: never read
+      q.load(a, g, o);
+      for (std::size_t c = 0; c < geo.chunks; ++c) {
+        q.build(c);
+        for (std::size_t sigma = 0; sigma < geo.sigmas; ++sigma) {
+          enc.q_ops_[geo.op_index(g, o, sigma, c)] =
+              eval_.transform_plain_ntt(q.q(sigma), ctx_->base_qp());
+        }
       }
     }
   });
@@ -384,22 +600,17 @@ std::vector<HmvpResult> HmvpEngine::multiply_encoded_batch(
     int threads) const {
   CHAM_CHECK_MSG(threads >= 1, "thread count must be positive");
   CHAM_CHECK_MSG(!batch.empty(), "empty request batch");
+  const Geometry geo(ctx_, a.rows_, a.cols_);
   for (const auto& entry : batch) {
     CHAM_CHECK_MSG(entry.ct_v != nullptr, "null request in batch");
-    CHAM_CHECK_MSG(entry.ct_v->size() == a.chunks_,
-                   "vector ciphertext count must match ceil(cols/N)");
-    for (const auto& ct : *entry.ct_v) {
-      CHAM_CHECK_MSG(ct.base() == ctx_->base_qp() && !ct.is_ntt(),
-                     "vector ciphertexts must be augmented, coefficient form");
-    }
+    check_request(ctx_, *entry.ct_v, geo.chunks);
   }
-  const std::size_t chunks = a.chunks_;
-  const PtProvider pt_at = [&](std::size_t row, std::size_t c,
-                               RowScratch&) -> const RnsPoly& {
-    return a.row_chunks_[row * chunks + c];
+  const QProvider q_at = [&](std::size_t g, std::size_t o, std::size_t sigma,
+                             std::size_t c, LaneScratch&) -> const RnsPoly& {
+    return a.q_ops_[geo.op_index(g, o, sigma, c)];
   };
-  return hmvp_run_batch(ctx_, eval_, gk_, a.rows_, a.pack_count_, batch,
-                        threads, /*streaming_cols=*/0, pt_at);
+  return hmvp_run_batch(*this, eval_, gk_, geo, batch, threads,
+                        /*streaming=*/false, q_at);
 }
 
 std::vector<u64> HmvpEngine::decrypt_result(const HmvpResult& res,

@@ -1,6 +1,17 @@
 // Homomorphic matrix-vector product (paper Alg. 1) — CHAM's target
 // workload, built from coefficient encoding (Eq. 1), plaintext
-// multiplication, rescale, LWE extraction (Eq. 3) and PackLWEs packing.
+// multiplication and PackLWEs packing.
+//
+// The engine computes the same packed result as Alg. 1's row product →
+// rescale → ExtractLWEs → PackLWEs pipeline with the bottom L pack levels
+// hoisted in front of the products (DESIGN.md §6j): the tree is linear and
+// every row product multiplies the same ct(v), so a 2^L-leaf subtree
+// equals Σ_σ rot_σ(ct(v))·Q_σ for plaintexts Q_σ that depend only on the
+// matrix. A request pays 2^L - 1 rotations of ct(v) per chunk and
+// C/2^L - 1 tree merges instead of C - 1 merges, and extracts no LWE at
+// all; L <= 4 is as deep as the worst-case noise bound certifies
+// (NoiseEstimator::hmvp_hoist_levels). Responses decrypt to A·v at the
+// same coefficients as Alg. 1's.
 //
 // Shapes beyond one ring dimension are tiled:
 //  * cols > N: the vector is split into ceil(cols/N) chunk ciphertexts;
@@ -20,16 +31,21 @@
 
 namespace cham {
 
-// Operation counts for one HMVP evaluation, cross-checked against the
-// accelerator model. The engine also publishes them to the process-wide
-// obs::MetricsRegistry (counters "hmvp.*") after every run.
+// Operation counts for one HMVP evaluation. The engine also publishes
+// them to the process-wide obs::MetricsRegistry (counters "hmvp.*") after
+// every run. Transforms inside key-switches (rotations and merges) are
+// counted by `keyswitches`, not by the NTT fields. The accelerator model
+// (src/sim) still counts the paper's per-row order.
 struct HmvpStats {
-  std::uint64_t forward_ntts = 0;   // plaintext-side NTTs (stage 1)
-  std::uint64_t inverse_ntts = 0;   // product INTTs (stage 3), per limb
+  // Limb NTTs of stage 1: the ct(v) chunks (2 polys × base_qp limbs
+  // each), plus on the streaming path every Q_σ lifted to base_qp.
+  std::uint64_t forward_ntts = 0;
+  std::uint64_t inverse_ntts = 0;   // group-node a-side INTTs, per limb
   std::uint64_t pointwise_mults = 0;  // limb-polynomial MultPoly ops
-  std::uint64_t rescales = 0;
-  std::uint64_t extracts = 0;
-  std::uint64_t pack_merges = 0;  // PackTwoLWEs invocations
+  std::uint64_t rescales = 0;  // group-node a-side rescales
+  std::uint64_t extracts = 0;  // LWE extractions: 0, the nodes need none
+  std::uint64_t pack_merges = 0;  // PackTwoLWEs merges left in the tree
+  // Rotations of ct(v) (2^L - 1 per chunk) plus pack_merges.
   std::uint64_t keyswitches = 0;
 
   // Field-wise accumulation (per-lane partial stats into the run total).
@@ -49,7 +65,7 @@ struct HmvpStats {
 struct HmvpResult {
   std::vector<Ciphertext> packed;
   std::size_t rows = 0;
-  std::size_t pack_count = 0;  // LWEs packed per group (power of two)
+  std::size_t pack_count = 0;  // rows packed per ciphertext (power of two)
   HmvpStats stats;
 
   // Coefficient index of row r (within its group's ciphertext).
@@ -58,11 +74,15 @@ struct HmvpResult {
   }
 };
 
-// A matrix pre-encoded into NTT-domain Eq.-1 polynomials. Amortises the
-// per-row encode+NTT across repeated products with the same matrix — the
-// HeteroLR case, where X^T is fixed across training iterations. Memory:
-// rows*chunks polynomials of 3N words each; prefer the streaming
-// HmvpEngine::multiply for very large matrices.
+// A matrix pre-encoded into the engine's NTT-domain plaintext operands:
+// for every group node of 2^L rows, its Q_σ (one per rotation σ and
+// chunk), built from the rows' Eq.-1 encodings by the bottom pack levels
+// mod t. Amortises the encode+NTT across repeated products with the same
+// matrix — the HeteroLR case, where X^T is fixed across training
+// iterations. Memory: one polynomial of 3N words per row and chunk
+// (rounded up to whole nodes; nodes holding only padding rows store
+// nothing); prefer the streaming HmvpEngine::multiply for very large
+// matrices.
 class EncodedMatrix {
  public:
   std::size_t rows() const { return rows_; }
@@ -72,15 +92,16 @@ class EncodedMatrix {
  private:
   friend class HmvpEngine;
   std::size_t rows_ = 0, cols_ = 0, chunks_ = 0, pack_count_ = 0;
-  std::vector<RnsPoly> row_chunks_;  // [row * chunks + chunk], NTT base_qp
+  // [((output·nodes + node)·2^L + σ)·chunks + chunk], NTT base_qp
+  std::vector<RnsPoly> q_ops_;
 };
 
-// One request of a coalesced batch. The row sweep (multiply, INTT,
-// rescale, extract) is key-free and shared across the batch; only the
-// final PackLWEs tree consumes key material, so each request may carry
+// One request of a coalesced batch. The rotations of ct(v) and the pack
+// tree consume the request's own key material, so each request may carry
 // its own Galois keys and a session-bound Evaluator (whose EvkManager
-// caches that client's frozen pack operands). Null fields fall back to
-// the engine's own evaluator/keys — the single-tenant case.
+// caches that client's frozen pack operands); the matrix operands are
+// shared by the batch. Null fields fall back to the engine's own
+// evaluator/keys — the single-tenant case.
 struct HmvpBatchEntry {
   const std::vector<Ciphertext>* ct_v = nullptr;
   const Evaluator* eval = nullptr;
@@ -98,29 +119,28 @@ class HmvpEngine {
 
   // Alg. 1: A · v homomorphically. ct_v are the chunk ciphertexts of v
   // (augmented level, coefficient domain). `threads` caps the pool lanes
-  // used for the per-row dot products, the initial ct(v) NTTs, and each
-  // level of the packing tree (Sec. III-C's multi-threaded host). The
-  // ct(v) chunks are frozen into Shoup form once and reused across all
-  // rows; each lane works out of a preallocated scratch arena, so the row
-  // loop performs no steady-state heap allocation. Results are bit-exact
-  // for every thread count.
+  // used for the ct(v) NTTs, the rotations of ct(v), the group nodes and
+  // each level of the packing tree (Sec. III-C's multi-threaded host).
+  // The rotated ct(v) chunks are frozen into Shoup form once and reused
+  // by every group node; each lane works out of a preallocated scratch
+  // arena, so the sweep performs no steady-state heap allocation.
+  // Results are bit-exact for every thread count.
   HmvpResult multiply(const RowSource& a, const std::vector<Ciphertext>& ct_v,
                       int threads = 1) const;
 
-  // Pre-encode a matrix for repeated products (see EncodedMatrix); rows
-  // encode in parallel on up to `threads` pool lanes.
+  // Pre-encode a matrix for repeated products (see EncodedMatrix); group
+  // nodes encode in parallel on up to `threads` pool lanes.
   EncodedMatrix encode_matrix(const RowSource& a, int threads = 1) const;
-  // Alg. 1 against a pre-encoded matrix: skips the per-row encode+NTT.
+  // Alg. 1 against a pre-encoded matrix: skips the encode+NTT.
   // Same threading and bit-exactness contract as multiply().
   HmvpResult multiply_encoded(const EncodedMatrix& a,
                               const std::vector<Ciphertext>& ct_v,
                               int threads = 1) const;
 
   // Coalesced same-matrix sweep (the serving layer's batching primitive):
-  // one pass over the pre-encoded matrix computes A·v_i for every request
-  // i, fetching each row operand once for the whole batch instead of once
-  // per request. Every request must have the same chunk count (same
-  // matrix ⇒ trivially true). Result i is bit-exact with
+  // computes A·v_i for every request i, one request at a time through
+  // one set of scratch buffers. Every request must have the same chunk
+  // count (same matrix ⇒ trivially true). Result i is bit-exact with
   // multiply_encoded(a, ct_vs[i], threads) — both run the batch sweep,
   // the single-shot path being its batch=1 case.
   std::vector<HmvpResult> multiply_encoded_batch(

@@ -10,27 +10,25 @@ LweCiphertext extract_lwe(const Ciphertext& ct, std::size_t index) {
   return lwe;
 }
 
-namespace {
-
-// Mask side of extraction at `index`: binds lwe to a's base and fills
-// lwe.a (b is the caller's). a must be coefficient form.
-void extract_mask_into(const RnsPoly& a_poly, std::size_t index,
-                       LweCiphertext& lwe) {
-  const std::size_t n = a_poly.n();
+void extract_lwe_into(const Ciphertext& ct, std::size_t index,
+                      LweCiphertext& lwe) {
+  CHAM_CHECK_MSG(!ct.is_ntt(), "extraction needs coefficient domain");
+  CHAM_CHECK(index < ct.n());
+  const std::size_t n = ct.n();
   static obs::Counter& neg_rev_calls =
       obs::MetricsRegistry::global().counter("simd.neg_rev");
-  if (lwe.base != a_poly.base()) {
-    lwe.base = a_poly.base();
-    lwe.a = RnsPoly(a_poly.base(), false);
+  if (lwe.base != ct.base()) {
+    lwe.base = ct.base();
+    lwe.a = RnsPoly(ct.base(), false);
   }
-  lwe.b.resize(a_poly.limbs());
-  for (std::size_t l = 0; l < a_poly.limbs(); ++l) {
-    const Modulus& q = a_poly.base()->modulus(l);
-    const u64* a = a_poly.limb(l);
+  lwe.b.resize(ct.base()->size());
+  for (std::size_t l = 0; l < ct.base()->size(); ++l) {
+    const Modulus& q = ct.base()->modulus(l);
+    const u64* a = ct.a.limb(l);
     u64* out = lwe.a.limb(l);
+    lwe.b[l] = ct.b.limb(l)[index];
     if (index == 0) {
-      // a'_0 = a_0, a'_k = -a_{N-k}: the negacyclic-reverse kernel. HMVP
-      // always extracts slot 0, so this is the hot case.
+      // a'_0 = a_0, a'_k = -a_{N-k}: the negacyclic-reverse kernel.
       neg_rev_calls.add();
       simd::active().neg_rev(a, out, n, q.value());
       continue;
@@ -40,33 +38,6 @@ void extract_mask_into(const RnsPoly& a_poly, std::size_t index,
     for (std::size_t k = 0; k <= index; ++k) out[k] = a[index - k];
     for (std::size_t k = index + 1; k < n; ++k)
       out[k] = q.negate(a[n + index - k]);
-  }
-}
-
-}  // namespace
-
-void extract_lwe_into(const Ciphertext& ct, std::size_t index,
-                      LweCiphertext& lwe) {
-  CHAM_CHECK_MSG(!ct.is_ntt(), "extraction needs coefficient domain");
-  CHAM_CHECK(index < ct.n());
-  extract_mask_into(ct.a, index, lwe);
-  for (std::size_t l = 0; l < ct.base()->size(); ++l) {
-    lwe.b[l] = ct.b.limb(l)[index];
-  }
-}
-
-void rescale_extract_lwe0(const RnsPoly& b_ntt, const RnsPoly& a_coeff,
-                          RnsPoly& a_rescaled, LweCiphertext& out) {
-  CHAM_CHECK_MSG(b_ntt.is_ntt(), "b is read from NTT form");
-  CHAM_CHECK(b_ntt.base() == a_coeff.base());
-  divide_round_by_last_into(a_coeff, a_rescaled);
-  extract_mask_into(a_rescaled, 0, out);
-  const RnsBase& src = *b_ntt.base();
-  const std::size_t k = a_rescaled.limbs();
-  const u64 b_p = b_ntt.ntt_constant_coeff(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    out.b[l] =
-        divide_round_by_last_coeff(src, l, b_ntt.ntt_constant_coeff(l), b_p);
   }
 }
 

@@ -34,18 +34,6 @@ LweCiphertext extract_lwe(const Ciphertext& ct, std::size_t index);
 void extract_lwe_into(const Ciphertext& ct, std::size_t index,
                       LweCiphertext& out);
 
-// Alg. 1 stages 3-4 at extraction index 0 for a product over an
-// augmented base (last prime p): the LWE of coefficient 0 of round(x/p)
-// over the base without p, where x = (b_ntt, a_coeff). Only the mask
-// pays for the INTT (the caller runs it: a_coeff is coefficient form)
-// and the N-coefficient rescale into a_rescaled (bound to the target
-// base). b stays in NTT form: its constant coefficient is n^{-1}·Σ slots
-// per limb (RnsPoly::ntt_constant_coeff), rescaled as one scalar. The
-// result is bit-exact with from_ntt + Evaluator::rescale_into +
-// extract_lwe_into(·, 0, ·).
-void rescale_extract_lwe0(const RnsPoly& b_ntt, const RnsPoly& a_coeff,
-                          RnsPoly& a_rescaled, LweCiphertext& out);
-
 // Embed an LWE ciphertext as an RLWE ciphertext whose phase's constant
 // coefficient equals the LWE message (other coefficients are garbage).
 Ciphertext lwe_to_rlwe(const LweCiphertext& lwe);

@@ -34,19 +34,6 @@ std::shared_ptr<const PackKeys> make_pack_keys(const Evaluator& eval,
 
 namespace {
 
-// One node of the NTT-resident tree. b stays in the evaluation domain
-// over base_qp for the whole tree, scaled by the special prime p: the
-// seeds contribute p·b exactly, and each merge folds the raw (un-rescaled)
-// b-side key-switch accumulator in directly. The single divide-and-round
-// by p at the tree root then recovers b plus the deferred rounding terms
-// (|error| < #merges, i.e. far below the ciphertext noise). a must return
-// to base_q coefficient form every merge — the next level's digit
-// decomposition consumes its residue limbs.
-struct PackNode {
-  RnsPoly b_qp;  // base_qp, evaluation domain, p-scaled
-  RnsPoly a_q;   // base_q, coefficient domain
-};
-
 // Per-lane scratch arena: every buffer a merge needs, allocated once per
 // pool lane and reused across all merges the lane executes (the
 // RowScratch pattern from hmvp/). Keeps the hot loop allocation-free.
@@ -179,8 +166,29 @@ Ciphertext pack_lwes(const Evaluator& eval,
                  "pack_lwes expects base_q LWE ciphertexts");
   const std::size_t count = lwes.size();
   if (count == 1) return lwe_to_rlwe(lwes[0]);
-  const int max_level = log2_exact(count);
-  CHAM_CHECK_MSG(keys.levels.size() > static_cast<std::size_t>(max_level),
+
+  std::vector<PackNode> nodes(count);
+  {
+    CHAM_SPAN_ARG("pack.seed", count);
+    ThreadPool::global().parallel_for(0, count, threads, [&](std::size_t i) {
+      seed_node(ctx, lwes[i], nodes[i]);
+    });
+  }
+  return pack_nodes(eval, nodes, /*from_level=*/1, keys, threads);
+}
+
+Ciphertext pack_nodes(const Evaluator& eval, std::vector<PackNode>& nodes,
+                      int from_level, const PackKeys& keys, int threads) {
+  const BfvContextPtr& ctx = eval.context();
+  const std::size_t count = nodes.size();
+  CHAM_CHECK_MSG(count >= 1 && is_power_of_two(count),
+                 "pack_nodes needs a power-of-two node count");
+  CHAM_CHECK_MSG(from_level >= 1, "tree levels start at 1");
+  const int top_level = from_level - 1 + log2_exact(count);
+  CHAM_CHECK_MSG((std::size_t{1} << top_level) <= ctx->n(),
+                 "cannot pack more values than ring coefficients");
+  CHAM_CHECK_MSG(count == 1 ||
+                     keys.levels.size() > static_cast<std::size_t>(top_level),
                  "pack keys do not cover the tree depth");
 
   // Every merge of the coefficient-domain reference pays one extra
@@ -192,22 +200,15 @@ Ciphertext pack_lwes(const Evaluator& eval,
   saved.add(2 * (count - 1));
 
   auto& pool = ThreadPool::global();
-  std::vector<PackNode> nodes(count);
-  {
-    CHAM_SPAN_ARG("pack.seed", count);
-    pool.parallel_for(0, count, threads, [&](std::size_t i) {
-      seed_node(ctx, lwes[i], nodes[i]);
-    });
-  }
-
   const int lane_cap = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(threads, 1)), count / 2));
-  std::vector<PackScratch> scratch(static_cast<std::size_t>(lane_cap));
+      static_cast<std::size_t>(std::max(threads, 1)),
+      std::max<std::size_t>(count / 2, 1)));
+  std::vector<PackScratch> scratch(count > 1 ? static_cast<std::size_t>(lane_cap)
+                                             : 0);
   for (auto& s : scratch) init_scratch(ctx, s);
 
-  std::size_t c = 2;
-  for (std::size_t s = count / 2; s >= 1; s >>= 1, c <<= 1) {
-    const int level_log = log2_exact(c);
+  int level_log = from_level;
+  for (std::size_t s = count / 2; s >= 1; s >>= 1, ++level_log) {
     const PackKeys::Level& lvl = keys.levels[static_cast<std::size_t>(level_log)];
     // One span per tree level (arg = level_log, paper Alg. 3's l).
     CHAM_SPAN_ARG("pack.level", level_log);
@@ -219,7 +220,6 @@ Ciphertext pack_lwes(const Evaluator& eval,
            o += static_cast<std::size_t>(lanes))
         merge_nodes(eval, lvl, nodes[o], nodes[o + s], sc);
     });
-    nodes.resize(s);  // drop the consumed odd half
   }
 
   // The tree's only b-side mod-down: one inverse NTT over base_qp and

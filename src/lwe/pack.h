@@ -15,7 +15,8 @@
 //
 // Two tree implementations live here:
 //
-//   pack_lwes           The NTT-resident tree. The b polynomial of every
+//   pack_lwes / pack_nodes
+//                       The NTT-resident tree. The b polynomial of every
 //                       node stays in the evaluation domain over base_qp
 //                       for the whole tree, scaled by the special prime p
 //                       (lazy mod-down): monomial multiplication is a
@@ -32,6 +33,13 @@
 //                       differs by the deferred rounding terms, i.e. by
 //                       at most one unit of p per merge level — far below
 //                       the encryption noise (tests assert the budget).
+//                       One tree, two entry points: pack_lwes seeds one
+//                       node per LWE and merges from level 1; pack_nodes
+//                       takes nodes that already hold packs of
+//                       2^{from_level-1} and merges from `from_level` up.
+//                       HMVP (hmvp/) builds its nodes without any LWE: the
+//                       bottom levels of the tree commute with the row
+//                       products, so it enters at level L+1 (DESIGN.md).
 //
 //   pack_lwes_reference The coefficient-domain tree (one pack_two_lwes
 //                       per merge), kept as the semantic baseline for
@@ -63,6 +71,19 @@ std::shared_ptr<const PackKeys> make_pack_keys(const Evaluator& eval,
                                                const GaloisKeys& gk,
                                                int max_level_log);
 
+// One node of the NTT-resident tree: an RLWE ciphertext whose b stays in
+// the evaluation domain over base_qp for the whole tree, scaled by the
+// special prime p (phase p·(b + a·s) up to rounding): seeds contribute
+// p·b exactly, and each merge folds the raw b-side key-switch
+// accumulator in. The single divide-and-round by p at the root recovers
+// b plus the deferred rounding terms (|error| < #merges, far below the
+// ciphertext noise). a returns to base_q coefficient form every merge —
+// the next level's digit decomposition reads its residue limbs.
+struct PackNode {
+  RnsPoly b_qp;  // base_qp, evaluation domain, p-scaled
+  RnsPoly a_q;   // base_q, coefficient domain
+};
+
 // Alg. 3, NTT-resident tree. lwes.size() must be a power of two <= N.
 // Returns the packed RLWE ciphertext (base_q, coefficient domain). The
 // binary reduction tree is walked level by level; all merges within a
@@ -70,10 +91,23 @@ std::shared_ptr<const PackKeys> make_pack_keys(const Evaluator& eval,
 // per-lane scratch arenas (mirroring the paper's multiple PackTwoLWEs
 // units, pipeline stages 5–9). The tree shape — and therefore the result
 // — is bit-identical for every thread count. keys must cover levels up
-// to log2(lwes.size()).
+// to log2(lwes.size()). Equivalent to seeding one PackNode per LWE and
+// calling pack_nodes(·, 1, ·).
 Ciphertext pack_lwes(const Evaluator& eval,
                      const std::vector<LweCiphertext>& lwes,
                      const PackKeys& keys, int threads = 1);
+
+// The same tree entered at level `from_level` >= 1: nodes[o] holds a pack
+// of 2^{from_level-1} values at stride N/2^{from_level-1}, and node o
+// merges with node o + nodes.size()/2 at level from_level, exactly as
+// the full tree merges its subtrees. nodes.size() must be a power of two
+// with nodes.size()·2^{from_level-1} <= N; keys must cover levels up to
+// from_level - 1 + log2(nodes.size()) (a single node needs none). The
+// nodes are consumed: they hold intermediate values afterwards and the
+// root's a_q is moved into the result. Returns the packed ciphertext
+// (base_q, coefficient domain), bit-identical for every thread count.
+Ciphertext pack_nodes(const Evaluator& eval, std::vector<PackNode>& nodes,
+                      int from_level, const PackKeys& keys, int threads = 1);
 
 // Convenience overload: fetches the PackKeys from the evaluation-key
 // manager (built on first use per GaloisKeys, then shared), so repeated

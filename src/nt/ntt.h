@@ -29,8 +29,6 @@ class NttTables {
   int log_n() const { return log_n_; }
   const Modulus& modulus() const { return q_; }
   u64 psi() const { return psi_; }
-  // n^{-1} mod q as a Shoup pair (the inverse transform's final scale).
-  const ShoupMul& n_inv() const { return n_inv_; }
 
   // In-place forward NTT: normal coefficient order in, bit-reversed out.
   // Runs on the dispatched kernel table (simd::active()).

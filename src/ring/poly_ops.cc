@@ -86,20 +86,6 @@ void poly_shoup_quotients(const u64* w, u64* quo, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) quo[i] = (0 - quo[i]) * q_inv;
 }
 
-u64 poly_sum(const u64* a, std::size_t n, const Modulus& q) {
-  const u64 per_word = ~u64{0} / q.value();  // >= 4 for q < 2^62
-  u64 total = 0;
-  for (std::size_t i = 0; i < n;) {
-    const std::size_t len = static_cast<std::size_t>(
-        std::min<u64>(per_word, static_cast<u64>(n - i)));
-    u64 s = 0;
-    for (std::size_t j = 0; j < len; ++j) s += a[i + j];
-    total = q.add(total, q.reduce(s));
-    i += len;
-  }
-  return total;
-}
-
 void poly_rev(const u64* a, u64* out, std::size_t n) {
   if (a == out) {
     std::reverse(out, out + n);

@@ -52,11 +52,6 @@ void poly_shoup_quotients(const u64* w, u64* quo, std::size_t n,
                           const Modulus& q,
                           const simd::Kernels& k = simd::active());
 
-// Σ a[i] mod q for entries < q. Partial sums stay in one word for
-// floor((2^64-1)/q) terms, so a span is reduced only every that many
-// terms (never, for n <= 2^22 at q < 2^42).
-u64 poly_sum(const u64* a, std::size_t n, const Modulus& q);
-
 // Rev (Table I): out = [a_{N-1}, ..., a_1, a_0]. Supports in-place.
 void poly_rev(const u64* a, u64* out, std::size_t n);
 

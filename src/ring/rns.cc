@@ -198,13 +198,6 @@ RnsPoly RnsPoly::rev() const {
   return out;
 }
 
-u64 RnsPoly::ntt_constant_coeff(std::size_t l) const {
-  CHAM_CHECK_MSG(ntt_form_, "constant coefficient is read from NTT form");
-  const Modulus& q = base_->modulus(l);
-  return mul_shoup(poly_sum(limb(l), n(), q), base_->ntt(l).n_inv(),
-                   q.value());
-}
-
 u128 RnsPoly::compose_coeff(std::size_t i) const {
   CHAM_CHECK_MSG(!ntt_form_, "compose requires coefficient domain");
   CHAM_CHECK(i < n());
@@ -230,12 +223,15 @@ RnsPoly sub(const RnsPoly& a, const RnsPoly& b) {
   return out;
 }
 
-ShoupPoly::ShoupPoly(const RnsPoly& src) : base_(src.base()) {
+ShoupPoly::ShoupPoly(const RnsPoly& src) : ShoupPoly(RnsPoly(src)) {}
+
+ShoupPoly::ShoupPoly(RnsPoly&& src) : base_(src.base()) {
   CHAM_CHECK_MSG(src.is_ntt(), "ShoupPoly freezes an NTT-form polynomial");
   const std::size_t n = src.n();
-  operand_ = src.raw();
+  const std::size_t limbs = src.limbs();
+  operand_ = std::move(src.raw());
   quotient_.resize(operand_.size());
-  for (std::size_t l = 0; l < src.limbs(); ++l) {
+  for (std::size_t l = 0; l < limbs; ++l) {
     poly_shoup_quotients(operand_.data() + l * n, quotient_.data() + l * n,
                          n, base_->modulus(l));
   }
@@ -300,19 +296,6 @@ void divide_round_by_last_into(const RnsPoly& x, RnsPoly& out) {
                                  src.crt().q_barrett(l), p_inv.operand,
                                  p_inv.quotient);
   }
-}
-
-u64 divide_round_by_last_coeff(const RnsBase& src, std::size_t l, u64 x_l,
-                               u64 x_p) {
-  CHAM_DCHECK(l + 1 < src.size());
-  const Modulus& q = src.modulus(l);
-  const u64 pv = src.modulus(src.size() - 1).value();
-  // Same steps as the rescale_round kernel: centered remainder of x mod
-  // p, folded into x_l, times p^{-1} mod q_l.
-  const bool up = x_p > pv / 2;
-  const u64 t = q.reduce(up ? pv - x_p : x_p);
-  const u64 diff = up ? q.add(x_l, t) : q.sub(x_l, t);
-  return mul_shoup(diff, src.rescale_pinv(l), q.value());
 }
 
 RnsPoly lift_centered(const RnsPoly& x, RnsBasePtr target) {

@@ -116,13 +116,6 @@ class RnsPoly {
   RnsPoly shiftneg(std::size_t s) const;  // *X^s
   RnsPoly rev() const;
 
-  // Coefficient 0 of limb l, read from NTT form without the inverse
-  // transform: every slot's evaluation point raised to the power 0 is 1,
-  // so the negacyclic INTT's constant term is n^{-1}·Σ slots — one slot
-  // sum and one scalar multiply, exact mod q_l (bit-exact with from_ntt
-  // followed by limb(l)[0]).
-  u64 ntt_constant_coeff(std::size_t l) const;
-
   // Centered coefficient i as an integer (coefficient domain).
   u128 compose_coeff(std::size_t i) const;
   // All n composed coefficients at once (coefficient domain; out holds
@@ -157,6 +150,9 @@ class ShoupPoly {
   // poly_shoup_quotients — one Shoup product and one multiply per
   // coefficient, no 128-bit division — amortized over every later product.
   explicit ShoupPoly(const RnsPoly& src);
+  // Same, adopting src's storage as the operand instead of copying it
+  // (src is left without storage).
+  explicit ShoupPoly(RnsPoly&& src);
 
   const RnsBasePtr& base() const { return base_; }
   bool empty() const { return base_ == nullptr; }
@@ -179,12 +175,6 @@ RnsPoly divide_round_by_last(const RnsPoly& x, RnsBasePtr target);
 // Allocation-free variant: out must already be bound to the target base
 // (coefficient domain); used by scratch-arena hot loops.
 void divide_round_by_last_into(const RnsPoly& x, RnsPoly& out);
-
-// divide_round_by_last for a single coefficient: given its residues x_l
-// (mod q_l, l < src.size() - 1) and x_p (mod the last prime p) over
-// `src`, returns round(x/p) mod q_l — bit-exact with the polynomial form.
-u64 divide_round_by_last_coeff(const RnsBase& src, std::size_t l, u64 x_l,
-                               u64 x_p);
 
 // Exact lift of a coefficient-domain polynomial onto a larger base whose
 // first limbs match. New limbs get the centered representative reduced mod

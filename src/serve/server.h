@@ -16,11 +16,12 @@
 // process MetricsRegistry ("serve.*").
 //
 // Sessions: a client's hello carries its (seed-expanded) Galois keys;
-// the server binds them to Evaluator(ctx, session) so the frozen pack
-// and rotation operands live in that session's EvkManager cache.
-// Requests from different sessions still coalesce into one sweep: the
-// coefficient row loop is key-free with per-request keys only in the
-// pack stage (HmvpBatchEntry), and a BSGS batch runs per-session
+// the server binds them to an Evaluator scoped to that session and that
+// hello's keys, so the frozen pack and rotation operands live in an
+// EvkManager cache that a re-hello releases. Requests from different
+// sessions still coalesce into one sweep: the coefficient engine shares
+// the matrix operands and switches keys per request for its rotations
+// and pack tree (HmvpBatchEntry), and a BSGS batch runs per-session
 // sub-batches against one shared diagonal set (BsgsBatchEntry). The
 // compute loop executes whichever algorithm the matrix was stamped with
 // at add_matrix() time (DESIGN.md §6i).
@@ -133,13 +134,20 @@ class HmvpServer {
   struct Session {
     std::string name;
     GaloisKeys gk;
-    Evaluator eval;  // bound to EvkManager::shared(ctx, name)
+    // Bound to EvkManager::shared(ctx, "<name>#<gk.uid>"): scoped to this
+    // hello's key material, so a re-hello under the same name gets a
+    // fresh manager and the old one (with every key it froze) is
+    // released with the old session instead of accumulating.
+    Evaluator eval;
     BlockingChannel* down = nullptr;
     bool departed = false;  // goodbye seen; refuse new requests
 
     Session(const BfvContextPtr& ctx, std::string n, GaloisKeys keys,
             BlockingChannel* d)
-        : name(std::move(n)), gk(std::move(keys)), eval(ctx, name), down(d) {}
+        : name(std::move(n)),
+          gk(std::move(keys)),
+          eval(ctx, name + "#" + std::to_string(gk.uid)),
+          down(d) {}
   };
 
   // One registered matrix. Shape and algorithm stamp are immutable after

@@ -97,14 +97,20 @@ TEST(Hmvp, StatsAccounting) {
   auto ct_v = f.engine.encrypt_vector(v, f.encryptor);
   auto res = f.engine.multiply(a, ct_v);
   EXPECT_EQ(res.pack_count, m);
-  EXPECT_EQ(res.stats.rescales, m);
-  EXPECT_EQ(res.stats.extracts, m);
-  EXPECT_EQ(res.stats.pack_merges, m - 1);    // binary tree: count-1 merges
-  EXPECT_EQ(res.stats.keyswitches, m - 1);
-  // Per row: 3 plaintext-limb NTTs; plus the one-time 6 for ct(v).
-  EXPECT_EQ(res.stats.forward_ntts, 3 * m + 6);
-  // Per row: 3 mask-limb INTTs; b' is read from the NTT-domain slot sum.
-  EXPECT_EQ(res.stats.inverse_ntts, 3 * m);
+  // The bottom 4 pack levels are hoisted in front of the products: the
+  // 32 rows form 2 group nodes of 16, each rescaled once (a side only),
+  // and no LWE is extracted.
+  const std::size_t nodes = m / 16;
+  EXPECT_EQ(res.stats.rescales, nodes);
+  EXPECT_EQ(res.stats.extracts, 0u);
+  EXPECT_EQ(res.stats.pack_merges, nodes - 1);  // the tree above the nodes
+  // 15 rotations of ct(v), then the merges.
+  EXPECT_EQ(res.stats.keyswitches, 15 + nodes - 1);
+  // Per node: 16 Q operands lifted to the 3 limbs of base_qp; plus the
+  // one-time 6 for ct(v).
+  EXPECT_EQ(res.stats.forward_ntts, nodes * 16 * 3 + 6);
+  // Per node: the 3 limbs of its a side.
+  EXPECT_EQ(res.stats.inverse_ntts, nodes * 3);
 }
 
 TEST(Hmvp, CoeffIndexLocatesEveryRow) {

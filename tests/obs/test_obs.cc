@@ -342,12 +342,12 @@ TEST(ObsIntegration, HmvpBitExactWithTracingOnAndOff) {
   // The traced run actually captured the pipeline stages... (the events
   // include stale pool.wait spans flushed by the quiesce; that is fine,
   // only hmvp.* matters here)
-  [[maybe_unused]] bool saw_row = false;
+  [[maybe_unused]] bool saw_group = false;
   for (const auto& e : TraceRecorder::instance().events()) {
-    if (std::string(e.name) == "hmvp.row") saw_row = true;
+    if (std::string(e.name) == "hmvp.group") saw_group = true;
   }
 #ifndef CHAM_OBS_DISABLED
-  EXPECT_TRUE(saw_row);
+  EXPECT_TRUE(saw_group);
 #endif
 
   // ...without perturbing a single coefficient.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <thread>
 
@@ -190,6 +191,57 @@ TEST(Serve, SessionChurnReHelloAfterGoodbye) {
   Response r = ghost.await();
   EXPECT_EQ(r.status, Status::kUnknownSession);
   f.server.stop();
+}
+
+// Each hello binds a key manager scoped to its own Galois keys, so a
+// re-hello under the same session name releases the previous manager and
+// every key it froze (before, one manager per name kept every earlier
+// generation's frozen pack keys alive for the life of the server).
+TEST(Serve, ReHelloReleasesEarlierKeyManagers) {
+  ServeFixture f;
+  f.server.start();
+  const auto v = f.random_vector(f.mat.cols(), 4);
+  auto managers_of = [&](const std::string& prefix) {
+    std::vector<std::string> out;
+    for (const auto& s : EvkManager::live_sessions(f.ctx)) {
+      if (s.rfind(prefix, 0) == 0) out.push_back(s);
+    }
+    return out;
+  };
+  constexpr int kGenerations = 4;
+  std::vector<std::string> names;
+  std::vector<std::weak_ptr<EvkManager>> generations;
+  // Earlier clients stay connected and never say goodbye: each session is
+  // replaced by the next hello, not retired.
+  std::deque<ServeClient> clients;
+  for (int gen = 0; gen < kGenerations; ++gen) {
+    ServeClient& c = clients.emplace_back(
+        f.ctx, f.server.connect(), "rehello", /*pack_levels=*/6,
+        static_cast<u64>(700 + gen), WireFormat::kPacked,
+        std::vector<u64>{});
+    c.hello();
+    c.submit(f.matrix_id, v);
+    Response r = c.await();  // the pack keys are frozen in the manager now
+    ASSERT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(c.decrypt(r), HmvpEngine::reference(f.mat, v, f.ctx->params().t));
+    // The new hello's manager is live under a name of its own.
+    std::vector<std::string> fresh;
+    for (const auto& name : managers_of("rehello#")) {
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        fresh.push_back(name);
+      }
+    }
+    ASSERT_EQ(fresh.size(), 1u) << "generation " << gen;
+    names.push_back(fresh[0]);
+    generations.push_back(EvkManager::shared(f.ctx, fresh[0]));
+  }
+  f.server.stop();  // drain: no batch still holds a session
+  for (int gen = 0; gen + 1 < kGenerations; ++gen) {
+    EXPECT_TRUE(generations[static_cast<std::size_t>(gen)].expired())
+        << "generation " << gen << " still holds its keys";
+  }
+  EXPECT_FALSE(generations.back().expired());  // the current session's
+  EXPECT_EQ(managers_of("rehello").size(), 1u);
 }
 
 TEST(Serve, AdmissionControlRejectsWhenFull) {
