@@ -66,7 +66,7 @@ int main() {
 
   // Diagonal-method cost for one (<=2048)x2048 block.
   auto diag_block_sec = [&](std::size_t block_cols) {
-    const std::size_t b = DiagonalHmvp::baby_steps(block_cols);
+    const std::size_t b = BsgsHmvp::baby_steps(block_cols);
     const double rotations =
         static_cast<double>(b - 1) +
         static_cast<double>((block_cols + b - 1) / b - 1);

@@ -94,7 +94,7 @@ int main() {
     }
     const double rot_sec = timer.seconds() / 8;
     const std::size_t half = n_ring / 2;
-    const std::size_t b = DiagonalHmvp::baby_steps(half);
+    const std::size_t b = BsgsHmvp::baby_steps(half);
     const double block =
         half * mult_sec + ((b - 1) + (half / b - 1)) * rot_sec;
     const double base_s = 4.0 * block;  // 4096x4096 = 2x2 blocks of 2048

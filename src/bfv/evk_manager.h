@@ -121,7 +121,7 @@ class EvkManager {
 
   // The BSGS rotation operand set for an n_cols-wide matrix with b baby
   // steps, cached per (GaloisKeys uid, n_cols, b). Requires gk to hold
-  // every element of the shape (DiagonalHmvp::required_galois_elements).
+  // every element of the shape (BsgsHmvp::required_galois_elements).
   std::shared_ptr<const BsgsKeys> bsgs_keys(const GaloisKeys& gk,
                                             std::size_t n_cols,
                                             std::size_t baby);

@@ -1,34 +1,10 @@
 #include "hmvp/baseline.h"
 
 #include <algorithm>
-#include <string>
 
 #include "nt/bitops.h"
-#include "obs/metrics.h"
 
 namespace cham {
-
-void publish_baseline_stats(const char* prefix, const BaselineStats& st) {
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string p(prefix);
-  reg.counter(p + ".runs").add(1);
-  reg.counter(p + ".rotations").add(st.rotations);
-  reg.counter(p + ".rotations_hoisted").add(st.rotations_hoisted);
-  reg.counter(p + ".plain_mults").add(st.plain_mults);
-}
-
-namespace {
-
-// Key shipping and make_galois_keys iterate these verbatim, so the plan
-// must never carry an element twice (baby/giant collisions are possible
-// for degenerate shapes) and sorted order keeps hello payloads canonical.
-std::vector<u64> sorted_unique(std::vector<u64> v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- rotate+sum
 
@@ -40,7 +16,10 @@ std::vector<u64> RotateSumHmvp::required_galois_elements() const {
   for (std::size_t r = 1; r < ctx_->n() / 2; r <<= 1) {
     out.push_back(encoder_.rotation_galois_element(r));
   }
-  return sorted_unique(std::move(out));
+  // Distinct r < N/2 give distinct elements; sorted keeps hello payloads
+  // canonical.
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Ciphertext RotateSumHmvp::encrypt_vector(const std::vector<u64>& v,
@@ -95,39 +74,11 @@ std::vector<u64> RotateSumHmvp::decrypt_result(
 // ------------------------------------------------------------------ diagonal
 
 DiagonalHmvp::DiagonalHmvp(BfvContextPtr context, const GaloisKeys* gk)
-    : ctx_(std::move(context)), gk_(gk), encoder_(ctx_), eval_(ctx_) {}
-
-std::size_t DiagonalHmvp::baby_steps(std::size_t n_cols) {
-  // Largest power of two <= sqrt(n_cols).
-  std::size_t b = 1;
-  while (b * b < n_cols) b <<= 1;
-  if (b * b > n_cols && b > 1) b >>= 1;
-  return b;
-}
-
-std::vector<u64> DiagonalHmvp::required_galois_elements(
-    std::size_t n_cols) const {
-  const std::size_t b = baby_steps(n_cols);
-  std::vector<u64> out;
-  for (std::size_t i = 1; i < b; ++i) {
-    out.push_back(encoder_.rotation_galois_element(i));
-  }
-  for (std::size_t j = 1; j < (n_cols + b - 1) / b; ++j) {
-    out.push_back(encoder_.rotation_galois_element(j * b));
-  }
-  return sorted_unique(std::move(out));
-}
-
-Ciphertext DiagonalHmvp::encrypt_vector(const std::vector<u64>& v,
-                                        const Encryptor& enc) const {
-  const std::size_t half = ctx_->n() / 2;
-  CHAM_CHECK_MSG(is_power_of_two(v.size()) && v.size() <= half,
-                 "diagonal method needs power-of-two cols <= N/2");
-  // Tile v with period n so slot rotations act as rotations mod n.
-  std::vector<u64> slots(half);
-  for (std::size_t i = 0; i < half; ++i) slots[i] = v[i % v.size()];
-  return enc.encrypt(encoder_.encode(slots));
-}
+    : ctx_(std::move(context)),
+      gk_(gk),
+      bsgs_(ctx_, gk),
+      encoder_(ctx_),
+      eval_(ctx_) {}
 
 Ciphertext DiagonalHmvp::multiply(const RowSource& a, const Ciphertext& ct_v,
                                   BaselineStats* stats) const {
@@ -149,7 +100,7 @@ Ciphertext DiagonalHmvp::multiply(const RowSource& a, const Ciphertext& ct_v,
     return diag;
   };
 
-  const std::size_t b = baby_steps(n);
+  const std::size_t b = BsgsHmvp::baby_steps(n);
   const std::size_t giants = (n + b - 1) / b;
 
   // Baby steps: rot(v, i) for i in [0, b).
@@ -204,14 +155,6 @@ Ciphertext DiagonalHmvp::multiply(const RowSource& a, const Ciphertext& ct_v,
   publish_baseline_stats("diag", st);
   if (stats) stats->merge(st);
   return result;
-}
-
-std::vector<u64> DiagonalHmvp::decrypt_result(const Ciphertext& ct,
-                                              std::size_t rows,
-                                              const Decryptor& dec) const {
-  auto slots = encoder_.decode(dec.decrypt(ct));
-  slots.resize(rows);
-  return slots;
 }
 
 }  // namespace cham

@@ -9,34 +9,14 @@
 //   paper's coefficient method avoids.
 //
 // Both operate on batch-encoded (SIMD) ciphertexts and are used by the
-// benchmark harness for the complexity comparison.
+// benchmark harness for the complexity comparison. They are strawmen: the
+// production slot-encoded engine is BsgsHmvp (hmvp/bsgs.h), and
+// DiagonalHmvp shares its key set, input tiling and result decoding.
 #pragma once
 
-#include "bfv/decryptor.h"
-#include "bfv/encoder.h"
-#include "bfv/encryptor.h"
-#include "bfv/evaluator.h"
-#include "bfv/keygen.h"
-#include "hmvp/matrix.h"
+#include "hmvp/bsgs.h"
 
 namespace cham {
-
-struct BaselineStats {
-  std::uint64_t rotations = 0;   // ciphertext rotations (keyswitches)
-  std::uint64_t rotations_hoisted = 0;  // rotations off a shared decomposition
-  std::uint64_t plain_mults = 0;
-
-  void merge(const BaselineStats& o) {
-    rotations += o.rotations;
-    rotations_hoisted += o.rotations_hoisted;
-    plain_mults += o.plain_mults;
-  }
-};
-
-// Publish one finished run's counters to the process-wide registry as
-// "<prefix>.runs/.rotations/.rotations_hoisted/.plain_mults" — the
-// CHAM-METRICS side of every SIMD-method bench line.
-void publish_baseline_stats(const char* prefix, const BaselineStats& st);
 
 class RotateSumHmvp {
  public:
@@ -64,28 +44,36 @@ class RotateSumHmvp {
   Evaluator eval_;
 };
 
+// One full-ring diagonal per column (no hybrid tail), one fresh
+// key-switch per rotation and an NTT round trip per diagonal product.
 class DiagonalHmvp {
  public:
   // n_cols must be a power of two <= N/2; rows <= N/2.
   DiagonalHmvp(BfvContextPtr context, const GaloisKeys* gk);
 
-  std::vector<u64> required_galois_elements(std::size_t n_cols) const;
+  // BsgsHmvp::required_galois_elements: the naive plan rotates by 1..b-1
+  // and j·b, the same elements.
+  std::vector<u64> required_galois_elements(std::size_t n_cols) const {
+    return bsgs_.required_galois_elements(n_cols);
+  }
 
-  // Encrypt v tiled to fill the N/2 row-0 slots.
   Ciphertext encrypt_vector(const std::vector<u64>& v,
-                            const Encryptor& enc) const;
+                            const Encryptor& enc) const {
+    return bsgs_.encrypt_vector(v, enc);
+  }
 
   Ciphertext multiply(const RowSource& a, const Ciphertext& ct_v,
                       BaselineStats* stats = nullptr) const;
 
   std::vector<u64> decrypt_result(const Ciphertext& ct, std::size_t rows,
-                                  const Decryptor& dec) const;
-
-  static std::size_t baby_steps(std::size_t n_cols);
+                                  const Decryptor& dec) const {
+    return bsgs_.decrypt_result(ct, rows, dec);
+  }
 
  private:
   BfvContextPtr ctx_;
   const GaloisKeys* gk_;
+  BsgsHmvp bsgs_;
   BatchEncoder encoder_;
   Evaluator eval_;
 };

@@ -1,12 +1,23 @@
 #include "hmvp/bsgs.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "nt/bitops.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cham {
+
+void publish_baseline_stats(const char* prefix, const BaselineStats& st) {
+  auto& reg = obs::MetricsRegistry::global();
+  const std::string p(prefix);
+  reg.counter(p + ".runs").add(1);
+  reg.counter(p + ".rotations").add(st.rotations);
+  reg.counter(p + ".rotations_hoisted").add(st.rotations_hoisted);
+  reg.counter(p + ".plain_mults").add(st.plain_mults);
+}
 
 const char* mvp_algorithm_name(MvpAlgorithm alg) {
   switch (alg) {
@@ -43,151 +54,94 @@ MvpAlgorithm choose_mvp_algorithm(std::size_t rows, std::size_t cols,
                                 : MvpAlgorithm::kCoefficient;
 }
 
+BsgsPlan BsgsPlan::of(std::size_t rows, std::size_t cols) {
+  CHAM_CHECK_MSG(rows >= 1 && is_power_of_two(cols),
+                 "diagonal method needs rows >= 1 and power-of-two cols");
+  BsgsPlan p;
+  p.rows = rows;
+  p.cols = cols;
+  p.span = std::size_t{1} << (rows > 1 ? log2_floor(rows - 1) + 1 : 0);
+  p.diagonals = std::min(cols, p.span);
+  p.length = std::max(cols, p.span);
+  p.baby = std::min(BsgsHmvp::baby_steps(cols), p.diagonals);
+  p.giants = (p.diagonals + p.baby - 1) / p.baby;
+  p.tail = static_cast<std::size_t>(log2_exact(p.length / p.span));
+  return p;
+}
+
+std::vector<std::size_t> BsgsPlan::rotations() const {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 1; i < baby; ++i) out.push_back(i);
+  for (std::size_t j = 1; j < giants; ++j) out.push_back(j * baby);
+  for (std::size_t k = 0; k < tail; ++k) out.push_back(span << k);
+  return out;
+}
+
+BaselineStats BsgsPlan::stats() const {
+  BaselineStats st;
+  st.rotations = (baby - 1) + (giants - 1) + tail;
+  st.rotations_hoisted = baby - 1;
+  st.plain_mults = diagonals;
+  return st;
+}
+
+namespace {
+
+// The frozen operands of a slot rotation by s. The key set of a column
+// count (b = keys.baby) holds every s < b as a baby step and every
+// multiple of b below the column count as a giant step; every rotation
+// of BsgsPlan::rotations() is one or the other.
+const BsgsKeys::Rot& rotation_key(const BsgsKeys& keys, std::size_t s) {
+  if (s < keys.baby) return keys.babies[s - 1];
+  CHAM_CHECK_MSG(s % keys.baby == 0 && s / keys.baby <= keys.giants.size(),
+                 "rotation " << s << " outside the BSGS key set");
+  return keys.giants[s / keys.baby - 1];
+}
+
+}  // namespace
+
 BsgsHmvp::BsgsHmvp(BfvContextPtr context, const GaloisKeys* gk)
     : ctx_(std::move(context)), gk_(gk), encoder_(ctx_), eval_(ctx_) {}
 
 std::size_t BsgsHmvp::baby_steps(std::size_t n_cols) {
-  return DiagonalHmvp::baby_steps(n_cols);
+  std::size_t b = 1;
+  while (b * b < n_cols) b <<= 1;
+  if (b * b > n_cols && b > 1) b >>= 1;
+  return b;
 }
 
 std::vector<u64> BsgsHmvp::required_galois_elements(std::size_t n_cols) const {
-  return DiagonalHmvp(ctx_, gk_).required_galois_elements(n_cols);
+  const std::size_t b = baby_steps(n_cols);
+  std::vector<u64> out;
+  for (std::size_t i = 1; i < b; ++i) {
+    out.push_back(encoder_.rotation_galois_element(i));
+  }
+  for (std::size_t j = 1; j < (n_cols + b - 1) / b; ++j) {
+    out.push_back(encoder_.rotation_galois_element(j * b));
+  }
+  // Key shipping and make_galois_keys iterate these verbatim, so the set
+  // must never carry an element twice, and sorted order keeps hello
+  // payloads canonical.
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 Ciphertext BsgsHmvp::encrypt_vector(const std::vector<u64>& v,
                                     const Encryptor& enc) const {
-  return DiagonalHmvp(ctx_, gk_).encrypt_vector(v, enc);
+  const std::size_t half = ctx_->n() / 2;
+  CHAM_CHECK_MSG(is_power_of_two(v.size()) && v.size() <= half,
+                 "diagonal method needs power-of-two cols <= N/2");
+  // Tile v with period |v| so slot rotations act as rotations mod |v|.
+  std::vector<u64> slots(half);
+  for (std::size_t i = 0; i < half; ++i) slots[i] = v[i % v.size()];
+  return enc.encrypt(encoder_.encode(slots));
 }
 
 Ciphertext BsgsHmvp::multiply(const RowSource& a, const Ciphertext& ct_v,
                               BaselineStats* stats, int threads) const {
   CHAM_SPAN_ARG("bsgs.multiply", a.rows());
-  CHAM_CHECK(gk_ != nullptr);
-  const std::size_t half = ctx_->n() / 2;
-  const std::size_t n = a.cols();
-  const std::size_t m = a.rows();
-  CHAM_CHECK_MSG(is_power_of_two(n) && n <= half && m <= half,
-                 "diagonal method shape limits");
-  const u64 t = ctx_->plain_modulus().value();
-  if (threads <= 0) threads = 1;
-
-  // Materialise the diagonals: diag_d[i] = A[i mod m][(i+d) mod n], the
-  // same convention as DiagonalHmvp so the two decrypt identically.
-  std::vector<std::vector<u64>> rows(m, std::vector<u64>(n));
-  for (std::size_t i = 0; i < m; ++i) a.row(i, rows[i].data());
-
-  const std::size_t b = baby_steps(n);
-  const std::size_t giants = (n + b - 1) / b;
-  const auto keys = eval_.evk().bsgs_keys(*gk_, n, b);
-
-  BaselineStats st;
-
-  // One shared digit decomposition of ct(v) serves every baby step.
-  Ciphertext ct_q = eval_.rescale(ct_v);
-  std::vector<RnsPoly> digits(ctx_->dnum(), RnsPoly(ctx_->base_qp(), false));
-  eval_.decompose_ntt_digits(ct_q.a, digits, threads);
-
-  // Baby-step fan-out: rot(v, i) stays NTT-resident and Shoup-frozen, so
-  // each of the n diagonal products below is a pointwise
-  // multiply-accumulate (no per-product NTT/INTT round trip).
-  std::vector<ShoupCiphertext> baby(b);
-  {
-    CHAM_SPAN_ARG("bsgs.baby_steps", b);
-    auto make_baby = [&](std::size_t i) {
-      Ciphertext ci;
-      if (i == 0) {
-        ci = ct_q;
-      } else {
-        const BsgsKeys::Rot& rot = keys->babies[i - 1];
-        ci = eval_.rotate_hoisted(ct_q, digits, *rot.coeff, *rot.ntt,
-                                  *rot.ksk);
-      }
-      ci.to_ntt();
-      baby[i] = ShoupCiphertext(ci);
-    };
-    if (threads > 1 && !ThreadPool::in_lane()) {
-      ThreadPool::global().parallel_for(0, b, threads, make_baby);
-    } else {
-      for (std::size_t i = 0; i < b; ++i) make_baby(i);
-    }
-    st.rotations += b - 1;
-    st.rotations_hoisted += b - 1;
-  }
-
-  // Giant-step sweep on pool lanes with per-lane scratch; inner sums are
-  // accumulated in the evaluation domain and land in a fixed slot per j,
-  // so the final (ordered) accumulation is bit-exact for every lane
-  // count.
-  std::vector<Ciphertext> inner(giants);
-  std::vector<BaselineStats> lane_stats;
-  auto& pool = ThreadPool::global();
-  int lanes = static_cast<int>(
-      std::min<std::size_t>({static_cast<std::size_t>(threads),
-                             pool.max_lanes(), giants}));
-  if (ThreadPool::in_lane()) lanes = 1;
-  lane_stats.assign(static_cast<std::size_t>(lanes), BaselineStats{});
-  auto sweep_lane = [&](int lane) {
-    CHAM_SPAN("bsgs.giant_sweep");
-    BaselineStats& ls = lane_stats[static_cast<std::size_t>(lane)];
-    std::vector<u64> rotated(half);
-    RnsPoly pt_ntt(ctx_->base_q(), false);
-    Ciphertext acc;
-    acc.b = RnsPoly(ctx_->base_q(), true);
-    acc.a = RnsPoly(ctx_->base_q(), true);
-    std::vector<RnsPoly> gdigits(ctx_->dnum(),
-                                 RnsPoly(ctx_->base_qp(), false));
-    for (std::size_t j = static_cast<std::size_t>(lane); j < giants;
-         j += static_cast<std::size_t>(lanes)) {
-      acc.b.set_ntt_form(true);  // from_ntt flipped these last iteration
-      acc.a.set_ntt_form(true);
-      bool have = false;
-      for (std::size_t i = 0; i < b && j * b + i < n; ++i) {
-        // diag_{jb+i}, pre-rotated right by j*b slots so the one giant
-        // rotation of the whole inner sum re-aligns every term.
-        const std::size_t d = j * b + i;
-        std::fill(rotated.begin(), rotated.end(), 0);
-        for (std::size_t r = 0; r < m; ++r) {
-          rotated[(r + j * b) % half] = rows[r][(r + d) % n] % t;
-        }
-        eval_.transform_plain_ntt_into(encoder_.encode(rotated), pt_ntt);
-        if (!have) {
-          eval_.multiply_plain_ntt(baby[i], pt_ntt, acc);
-          have = true;
-        } else {
-          eval_.multiply_plain_ntt_acc(baby[i], pt_ntt, acc);
-        }
-        ls.plain_mults += 1;
-      }
-      acc.from_ntt();
-      if (j > 0) {
-        const BsgsKeys::Rot& rot = keys->giants[j - 1];
-        eval_.decompose_ntt_digits(acc.a, gdigits);
-        inner[j] = eval_.rotate_hoisted(acc, gdigits, *rot.coeff, *rot.ntt,
-                                        *rot.ksk);
-        ls.rotations += 1;
-      } else {
-        inner[j] = acc;
-      }
-    }
-  };
-  if (lanes > 1) {
-    pool.run(lanes, sweep_lane);
-  } else {
-    sweep_lane(0);
-  }
-  for (const BaselineStats& ls : lane_stats) {
-    st.rotations += ls.rotations;
-    st.plain_mults += ls.plain_mults;
-  }
-
-  Ciphertext result = std::move(inner[0]);
-  for (std::size_t j = 1; j < giants; ++j) {
-    eval_.add_inplace(result, inner[j]);
-  }
-
-  publish_baseline_stats("bsgs", st);
-  if (stats) stats->merge(st);
-  return result;
+  return multiply_encoded(encode_matrix(a, threads), ct_v, stats, threads);
 }
 
 BsgsEncodedMatrix BsgsHmvp::encode_matrix(const RowSource& a,
@@ -196,38 +150,35 @@ BsgsEncodedMatrix BsgsHmvp::encode_matrix(const RowSource& a,
   const std::size_t half = ctx_->n() / 2;
   const std::size_t n = a.cols();
   const std::size_t m = a.rows();
-  CHAM_CHECK_MSG(is_power_of_two(n) && n <= half && m <= half,
-                 "diagonal method shape limits");
+  CHAM_CHECK_MSG(n <= half && m <= half, "diagonal method shape limits");
   const u64 t = ctx_->plain_modulus().value();
   if (threads <= 0) threads = 1;
+
+  BsgsEncodedMatrix out;
+  out.plan_ = BsgsPlan::of(m, n);
+  const BsgsPlan& p = out.plan_;
+  out.diag_ntt_.assign(p.diagonals, RnsPoly());
 
   std::vector<std::vector<u64>> rows(m, std::vector<u64>(n));
   for (std::size_t i = 0; i < m; ++i) a.row(i, rows[i].data());
 
-  BsgsEncodedMatrix out;
-  out.rows_ = m;
-  out.cols_ = n;
-  out.baby_ = baby_steps(n);
-  out.giants_ = (n + out.baby_ - 1) / out.baby_;
-  out.diag_ntt_.assign(n, RnsPoly());
-
-  // Same diagonal construction as multiply()'s giant sweep: diag_{jb+i}
-  // pre-rotated right by j·b slots, encoded and centered-lifted into the
-  // base_q NTT domain — byte-identical operands, so encoded products stay
-  // bit-exact with streaming ones.
+  // Diagonal d = j·b'+i: diag_d[s] = A[s mod m'][(s+d) mod cols] for
+  // s < L, pre-rotated right by j·b' slots, encoded and centered-lifted
+  // into the base_q NTT domain.
   auto& pool = ThreadPool::global();
-  int lanes = static_cast<int>(
-      std::min<std::size_t>({static_cast<std::size_t>(threads),
-                             pool.max_lanes(), n}));
+  int lanes = static_cast<int>(std::min<std::size_t>(
+      {static_cast<std::size_t>(threads), pool.max_lanes(), p.diagonals}));
   if (ThreadPool::in_lane()) lanes = 1;
   auto encode_lane = [&](int lane) {
     std::vector<u64> rotated(half);
-    for (std::size_t d = static_cast<std::size_t>(lane); d < n;
+    for (std::size_t d = static_cast<std::size_t>(lane); d < p.diagonals;
          d += static_cast<std::size_t>(lanes)) {
-      const std::size_t jb = d - d % out.baby_;  // the giant offset j·b
+      const std::size_t jb = d - d % p.baby;  // the giant offset j·b'
       std::fill(rotated.begin(), rotated.end(), 0);
-      for (std::size_t r = 0; r < m; ++r) {
-        rotated[(r + jb) % half] = rows[r][(r + d) % n] % t;
+      for (std::size_t s = 0; s < p.length; ++s) {
+        const std::size_t r = s & (p.span - 1);
+        if (r >= m) continue;
+        rotated[(s + jb) & (half - 1)] = rows[r][(s + d) & (n - 1)] % t;
       }
       RnsPoly pt_ntt(ctx_->base_q(), false);
       eval_.transform_plain_ntt_into(encoder_.encode(rotated), pt_ntt);
@@ -256,12 +207,11 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     const BsgsEncodedMatrix& a, const std::vector<BsgsBatchEntry>& batch,
     BaselineStats* stats, int threads) const {
   CHAM_SPAN_ARG("bsgs.multiply_encoded_batch", batch.size());
-  const std::size_t n = a.cols_;
-  const std::size_t m = a.rows_;
-  const std::size_t b = a.baby_;
-  const std::size_t giants = a.giants_;
+  const BsgsPlan& p = a.plan_;
+  const std::size_t b = p.baby;
+  const std::size_t giants = p.giants;
   const std::size_t k = batch.size();
-  CHAM_CHECK_MSG(m > 0 && n > 0, "empty encoded matrix");
+  CHAM_CHECK_MSG(p.rows > 0 && p.cols > 0, "empty encoded matrix");
   if (threads <= 0) threads = 1;
   std::vector<Ciphertext> out(k);
   if (k == 0) return out;
@@ -286,7 +236,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     rq.eval = e.eval != nullptr ? e.eval : &eval_;
     const GaloisKeys* gk = e.gk != nullptr ? e.gk : gk_;
     CHAM_CHECK_MSG(gk != nullptr, "batched BSGS needs Galois keys");
-    rq.keys = rq.eval->evk().bsgs_keys(*gk, n, b);
+    rq.keys = rq.eval->evk().bsgs_keys(*gk, p.cols, baby_steps(p.cols));
     rq.ct_q = rq.eval->rescale(*e.ct_v);
     rq.digits.assign(ctx_->dnum(), RnsPoly(ctx_->base_qp(), false));
     rq.eval->decompose_ntt_digits(rq.ct_q.a, rq.digits, threads);
@@ -295,7 +245,9 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   }
 
   // Baby-step fan-out flattened over (request, baby index): every lane
-  // pulls the digits and keys of the request its item belongs to.
+  // pulls the digits and keys of the request its item belongs to. The
+  // baby steps stay NTT-resident and Shoup-frozen, so each diagonal
+  // product below is a pointwise multiply-accumulate.
   {
     CHAM_SPAN_ARG("bsgs.batch_baby_steps", k * b);
     auto make_baby = [&](std::size_t idx) {
@@ -305,7 +257,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
       if (i == 0) {
         ci = rq.ct_q;
       } else {
-        const BsgsKeys::Rot& rot = rq.keys->babies[i - 1];
+        const BsgsKeys::Rot& rot = rotation_key(*rq.keys, i);
         ci = rq.eval->rotate_hoisted(rq.ct_q, rq.digits, *rot.coeff, *rot.ntt,
                                      *rot.ksk);
       }
@@ -320,7 +272,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   }
 
   // Giant-step sweep flattened over (request, giant): one fetch of
-  // diag_{jb+i} from the encoded matrix feeds whichever request the lane
+  // diag_{jb'+i} from the encoded matrix feeds whichever request the lane
   // is working, and the per-request inner sums land in fixed slots, so
   // the ordered final accumulation is bit-exact for every lane count and
   // batch composition.
@@ -345,12 +297,10 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
       const std::size_t j = idx % giants;
       acc.b.set_ntt_form(true);  // from_ntt flipped these last iteration
       acc.a.set_ntt_form(true);
-      bool have = false;
-      for (std::size_t i = 0; i < b && j * b + i < n; ++i) {
+      for (std::size_t i = 0; i < b && j * b + i < p.diagonals; ++i) {
         const RnsPoly& pt_ntt = a.diag_ntt_[j * b + i];
-        if (!have) {
+        if (i == 0) {
           rq.eval->multiply_plain_ntt(rq.baby[i], pt_ntt, acc);
-          have = true;
         } else {
           rq.eval->multiply_plain_ntt_acc(rq.baby[i], pt_ntt, acc);
         }
@@ -358,7 +308,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
       }
       acc.from_ntt();
       if (j > 0) {
-        const BsgsKeys::Rot& rot = rq.keys->giants[j - 1];
+        const BsgsKeys::Rot& rot = rotation_key(*rq.keys, j * b);
         rq.eval->decompose_ntt_digits(acc.a, gdigits);
         rq.inner[j] = rq.eval->rotate_hoisted(acc, gdigits, *rot.coeff,
                                               *rot.ntt, *rot.ksk);
@@ -374,28 +324,42 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     sweep_lane(0);
   }
 
-  BaselineStats st;
-  st.rotations += k * (b - 1);
-  st.rotations_hoisted += k * (b - 1);
-  for (const BaselineStats& ls : lane_stats) {
-    st.rotations += ls.rotations;
-    st.plain_mults += ls.plain_mults;
-  }
-
-  for (std::size_t r = 0; r < k; ++r) {
+  // Per request: the ordered sum of the inner sums, then the hybrid tail
+  // — log2(L/m') rotate-and-add steps by m'·2^k fold the L/m' partial
+  // sums of each output row into slot r < m'. The baby-step digits are
+  // dead by now and serve as the tail's decomposition scratch.
+  auto finish = [&](std::size_t r) {
     Req& rq = reqs[r];
     out[r] = std::move(rq.inner[0]);
     for (std::size_t j = 1; j < giants; ++j) {
       rq.eval->add_inplace(out[r], rq.inner[j]);
     }
+    for (std::size_t s = 0; s < p.tail; ++s) {
+      const BsgsKeys::Rot& rot = rotation_key(*rq.keys, p.span << s);
+      rq.eval->decompose_ntt_digits(out[r].a, rq.digits);
+      rq.eval->add_inplace(out[r], rq.eval->rotate_hoisted(
+                                       out[r], rq.digits, *rot.coeff,
+                                       *rot.ntt, *rot.ksk));
+    }
+  };
+  {
+    CHAM_SPAN_ARG("bsgs.batch_tail", k * p.tail);
+    if (threads > 1 && k > 1 && !ThreadPool::in_lane()) {
+      ThreadPool::global().parallel_for(0, k, threads, finish);
+    } else {
+      for (std::size_t r = 0; r < k; ++r) finish(r);
+    }
   }
 
-  // One publish per logical product, so "bsgs.runs" counts requests the
-  // same way the streaming path does.
-  BaselineStats per;
-  per.rotations = (b - 1) + (giants - 1);
-  per.rotations_hoisted = b - 1;
-  per.plain_mults = n;
+  BaselineStats st;
+  st.rotations = k * ((b - 1) + p.tail);
+  st.rotations_hoisted = k * (b - 1);
+  for (const BaselineStats& ls : lane_stats) st.merge(ls);
+
+  // One publish per logical product, so "bsgs.runs" counts requests.
+  const BaselineStats per = p.stats();
+  CHAM_DCHECK(st.rotations == k * per.rotations &&
+              st.plain_mults == k * per.plain_mults);
   for (std::size_t r = 0; r < k; ++r) publish_baseline_stats("bsgs", per);
   if (stats) stats->merge(st);
   return out;
@@ -404,7 +368,9 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
 std::vector<u64> BsgsHmvp::decrypt_result(const Ciphertext& ct,
                                           std::size_t rows,
                                           const Decryptor& dec) const {
-  return DiagonalHmvp(ctx_, gk_).decrypt_result(ct, rows, dec);
+  auto slots = encoder_.decode(dec.decrypt(ct));
+  slots.resize(rows);
+  return slots;
 }
 
 }  // namespace cham

@@ -548,6 +548,7 @@ HmvpResult HmvpEngine::multiply(const RowSource& a,
 
 EncodedMatrix HmvpEngine::encode_matrix(const RowSource& a,
                                         int threads) const {
+  CHAM_SPAN_ARG("hmvp.encode_matrix", a.rows());
   CHAM_CHECK_MSG(threads >= 1, "thread count must be positive");
   CHAM_CHECK_MSG(a.rows() >= 1 && a.cols() >= 1, "empty matrix");
   const Geometry geo(ctx_, a.rows(), a.cols());

@@ -10,8 +10,8 @@ namespace {
 
 std::uint64_t now_ns() { return obs::TraceRecorder::now_ns(); }
 
-// Snapshot a row source into the dense copy a MatrixEntry keeps as the
-// seed of its lazy (per-version) BSGS diagonal freeze.
+// Snapshot a row source into the dense copy a BSGS-stamped MatrixEntry
+// keeps as the seed of its lazy (per-version) diagonal freeze.
 std::shared_ptr<const DenseMatrix> densify(const RowSource& a) {
   auto m = std::make_shared<DenseMatrix>(a.rows(), a.cols());
   std::vector<std::uint64_t> row(a.cols());
@@ -51,15 +51,17 @@ std::uint32_t HmvpServer::add_matrix(const RowSource& a) {
   entry->chunks = (a.cols() + ctx_->n() - 1) / ctx_->n();
   entry->algo = cfg_.force_algorithm.value_or(
       choose_mvp_algorithm(a.rows(), a.cols(), ctx_->n()));
+  // Each version is encoded only for the stamped engine.
   if (entry->algo == MvpAlgorithm::kBsgs) {
     const std::size_t half = ctx_->n() / 2;
     CHAM_CHECK_MSG(is_power_of_two(a.cols()) && a.cols() <= half &&
                        a.rows() <= half,
                    "bsgs-stamped matrix violates diagonal shape limits");
+    entry->raw = densify(a);
+  } else {
+    entry->coeff = std::make_shared<const EncodedMatrix>(
+        engine_.encode_matrix(a, cfg_.threads));
   }
-  entry->raw = densify(a);
-  entry->coeff =
-      std::make_shared<const EncodedMatrix>(engine_.encode_matrix(a, cfg_.threads));
   obs::MetricsRegistry::global()
       .counter(std::string("serve.matrix_pref_") +
                mvp_algorithm_name(entry->algo))
@@ -75,9 +77,12 @@ void HmvpServer::update_matrix(std::uint32_t id, const RowSource& a) {
                  "update_matrix must keep the registered shape");
   // Encode outside the lock; in-flight sweeps keep their snapshots and
   // the swap below only retargets future batches.
-  auto raw = densify(a);
-  auto coeff =
-      std::make_shared<const EncodedMatrix>(engine_.encode_matrix(a, cfg_.threads));
+  const bool bsgs = entry.algo == MvpAlgorithm::kBsgs;
+  std::shared_ptr<const DenseMatrix> raw = bsgs ? densify(a) : nullptr;
+  std::shared_ptr<const EncodedMatrix> coeff =
+      bsgs ? nullptr
+           : std::make_shared<const EncodedMatrix>(
+                 engine_.encode_matrix(a, cfg_.threads));
   {
     std::unique_lock<std::shared_mutex> lk(entry.mu);
     entry.raw = std::move(raw);

@@ -79,15 +79,17 @@ class HmvpServer {
   std::uint32_t add_matrix(const RowSource& a);
 
   // Replace matrix `id` with new values of the same shape and bump its
-  // version. Thread-safe; allowed while running: the coefficient
-  // encoding is rebuilt eagerly, the BSGS diagonal set is dropped (and
-  // lazily re-frozen on the next BSGS batch), and any in-flight batch
-  // keeps sweeping the snapshot it already holds — a re-version can never
-  // invalidate a running sweep.
+  // version. Thread-safe; allowed while running: a coefficient-stamped
+  // matrix is re-encoded eagerly, a BSGS-stamped one drops its diagonal
+  // set (lazily re-frozen on the next BSGS batch), and any in-flight
+  // batch keeps sweeping the snapshot it already holds — a re-version can
+  // never invalidate a running sweep.
   void update_matrix(std::uint32_t id, const RowSource& a);
 
-  // Snapshot of the current coefficient encoding / version (in-flight
-  // consumers hold the shared_ptr across re-versions).
+  // Snapshot of the current coefficient encoding (in-flight consumers
+  // hold the shared_ptr across re-versions). Each version is encoded only
+  // for the engine its matrix is stamped with, so this is null for a
+  // BSGS-stamped matrix.
   std::shared_ptr<const EncodedMatrix> matrix(std::uint32_t id) const;
   std::uint32_t matrix_version(std::uint32_t id) const;
 
@@ -159,7 +161,10 @@ class HmvpServer {
     MvpAlgorithm algo = MvpAlgorithm::kCoefficient;
     mutable std::shared_mutex mu;  // guards the versioned state below
     std::uint32_t version = 0;
-    std::shared_ptr<const DenseMatrix> raw;  // source of the lazy encodes
+    // Per version, only the stamped engine's operands exist: kBsgs keeps
+    // `raw` (the seed of the lazy diagonal freeze) and `bsgs`;
+    // kCoefficient keeps `coeff`.
+    std::shared_ptr<const DenseMatrix> raw;
     std::shared_ptr<const EncodedMatrix> coeff;      // eager per version
     std::shared_ptr<const BsgsEncodedMatrix> bsgs;   // frozen on first use
   };

@@ -84,7 +84,7 @@ TEST_P(DiagonalShapeTest, MatchesReference) {
   EXPECT_EQ(engine.decrypt_result(ct, m, f.decryptor),
             HmvpEngine::reference(a, v, f.ctx->params().t));
   // BSGS rotation count: (b-1) baby + (n/b - 1) giant.
-  const std::size_t b = DiagonalHmvp::baby_steps(n);
+  const std::size_t b = BsgsHmvp::baby_steps(n);
   EXPECT_EQ(stats.rotations, (b - 1) + (n + b - 1) / b - 1);
   EXPECT_EQ(stats.plain_mults, n);
 }
@@ -106,11 +106,11 @@ TEST(Diagonal, RejectsNonPowerOfTwoCols) {
 }
 
 TEST(Diagonal, BabySteps) {
-  EXPECT_EQ(DiagonalHmvp::baby_steps(4), 2u);
-  EXPECT_EQ(DiagonalHmvp::baby_steps(16), 4u);
-  EXPECT_EQ(DiagonalHmvp::baby_steps(64), 8u);
-  EXPECT_EQ(DiagonalHmvp::baby_steps(128), 8u);   // 8*8=64 < 128 <= 16*16
-  EXPECT_EQ(DiagonalHmvp::baby_steps(1), 1u);
+  EXPECT_EQ(BsgsHmvp::baby_steps(4), 2u);
+  EXPECT_EQ(BsgsHmvp::baby_steps(16), 4u);
+  EXPECT_EQ(BsgsHmvp::baby_steps(64), 8u);
+  EXPECT_EQ(BsgsHmvp::baby_steps(128), 8u);   // 8*8=64 < 128 <= 16*16
+  EXPECT_EQ(BsgsHmvp::baby_steps(1), 1u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hmvp/baseline.h"
 #include "hmvp/hmvp.h"
 #include "nt/bitops.h"
 
@@ -18,8 +19,10 @@ namespace {
 
 struct BsgsFixture {
   explicit BsgsFixture(std::size_t n = 128, u64 seed = 33)
+      : BsgsFixture(BfvParams::test(n), seed) {}
+  BsgsFixture(const BfvParams& params, u64 seed)
       : rng(seed),
-        ctx(BfvContext::create(BfvParams::test(n))),
+        ctx(BfvContext::create(params)),
         keygen(ctx, rng),
         pk(keygen.make_public_key()),
         encryptor(ctx, &pk, nullptr, rng),
@@ -128,8 +131,26 @@ TEST(Bsgs, RotateRowsZeroIsIdentityWithoutKeys) {
                eval.rotate_rows_hoisted(ct_q, digits, 0, empty));
 }
 
-class BsgsShapeTest
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+// The hybrid plan's counters from first principles: m' = next_pow2(rows),
+// D = min(cols, m') diagonals, L = max(cols, m'), b' = min(baby_steps,
+// D) hoisted baby steps, ceil(D/b') giants and log2(L/m') tail steps.
+BaselineStats expected_stats(std::size_t m, std::size_t n) {
+  std::size_t span = 1;
+  while (span < m) span <<= 1;
+  const std::size_t d = std::min(n, span);
+  const std::size_t l = std::max(n, span);
+  const std::size_t b = std::min(BsgsHmvp::baby_steps(n), d);
+  const std::size_t giants = (d + b - 1) / b;
+  BaselineStats st;
+  st.plain_mults = d;
+  st.rotations_hoisted = b - 1;
+  st.rotations = (b - 1) + (giants - 1) + log2_exact(l / span);
+  return st;
+}
+
+using Shape = std::pair<std::size_t, std::size_t>;
+
+class BsgsShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(BsgsShapeTest, MatchesReferenceAndStats) {
   const auto [m, n] = GetParam();
@@ -144,38 +165,95 @@ TEST_P(BsgsShapeTest, MatchesReferenceAndStats) {
   auto ct = engine.multiply(a, engine.encrypt_vector(v, f.encryptor), &stats);
   EXPECT_EQ(engine.decrypt_result(ct, m, f.decryptor),
             HmvpEngine::reference(a, v, f.ctx->params().t));
-  const std::size_t b = BsgsHmvp::baby_steps(n);
-  EXPECT_EQ(stats.rotations, (b - 1) + (n + b - 1) / b - 1);
-  EXPECT_EQ(stats.rotations_hoisted, b - 1);
-  EXPECT_EQ(stats.plain_mults, n);
+  const BaselineStats want = expected_stats(m, n);
+  EXPECT_EQ(stats.rotations, want.rotations);
+  EXPECT_EQ(stats.rotations_hoisted, want.rotations_hoisted);
+  EXPECT_EQ(stats.plain_mults, want.plain_mults);
 }
 
+// Square and tall shapes keep one diagonal per column and no tail; wide
+// ones (next_pow2(rows) < cols, rows not a power of two included) take
+// the hybrid tail, down to a single diagonal at one row.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BsgsShapeTest,
-    ::testing::Values(std::make_pair<std::size_t, std::size_t>(4, 4),
-                      std::make_pair<std::size_t, std::size_t>(16, 16),
-                      std::make_pair<std::size_t, std::size_t>(8, 64),
-                      std::make_pair<std::size_t, std::size_t>(64, 64),
-                      std::make_pair<std::size_t, std::size_t>(10, 16),
-                      std::make_pair<std::size_t, std::size_t>(64, 8),
-                      std::make_pair<std::size_t, std::size_t>(1, 2)));
+    ::testing::Values(Shape(4, 4), Shape(16, 16), Shape(8, 64),
+                      Shape(64, 64), Shape(10, 16), Shape(64, 8),
+                      Shape(1, 2), Shape(5, 64), Shape(24, 64),
+                      Shape(1, 64)));
+
+TEST(Bsgs, PlanRotationsAreInTheColumnKeySet) {
+  // The hybrid tail adds no Galois key: for every column count the ring
+  // admits and every row count, each rotation of the plan is one of
+  // required_galois_elements(cols) — so hello frames and BsgsKeys are
+  // unchanged by the layout.
+  auto ctx = BfvContext::create(BfvParams::paper());
+  const std::size_t half = ctx->n() / 2;
+  BsgsHmvp probe(ctx, nullptr);
+  BatchEncoder encoder(ctx);
+  for (std::size_t n = 1; n <= half; n <<= 1) {
+    SCOPED_TRACE(n);
+    const auto elems = probe.required_galois_elements(n);
+    for (std::size_t m = 1; m <= half; ++m) {
+      const BsgsPlan plan = BsgsPlan::of(m, n);
+      const auto rots = plan.rotations();
+      ASSERT_EQ(rots.size(), expected_stats(m, n).rotations) << m;
+      for (std::size_t r : rots) {
+        ASSERT_TRUE(std::binary_search(elems.begin(), elems.end(),
+                                       encoder.rotation_galois_element(r)))
+            << m << "x" << n << " rotates by " << r;
+      }
+    }
+  }
+}
+
+TEST(Bsgs, PaperParamsHybridShapesDecrypt) {
+  // The churn mix's 512x1024 matrix (512 diagonals, one tail step) and
+  // the deepest tail the ring admits (1x2048: one diagonal, 11
+  // rotate-and-add steps) decrypt to the reference at paper parameters.
+  BsgsFixture f(BfvParams::paper(), 17);
+  const u64 t = f.ctx->params().t;
+  for (auto [m, n] : {Shape(512, 1024), Shape(1, 2048)}) {
+    SCOPED_TRACE(m);
+    BsgsHmvp probe(f.ctx, nullptr);
+    auto gk = f.keys_for(probe.required_galois_elements(n));
+    BsgsHmvp engine(f.ctx, &gk);
+    GeneratedMatrix a(m, n, t, m + n);
+    auto v = f.random_vector(n);
+    BaselineStats stats;
+    BsgsEncodedMatrix enc = engine.encode_matrix(a, 4);
+    auto ct = engine.multiply_encoded(
+        enc, engine.encrypt_vector(v, f.encryptor), &stats, 4);
+    EXPECT_EQ(engine.decrypt_result(ct, m, f.decryptor),
+              HmvpEngine::reference(a, v, t));
+    EXPECT_EQ(stats.plain_mults, expected_stats(m, n).plain_mults);
+    EXPECT_EQ(stats.rotations, expected_stats(m, n).rotations);
+  }
+}
+
+// Shapes with and without the hybrid tail for the bit-exactness checks.
+const Shape kExactShapes[] = {Shape(32, 64), Shape(10, 16), Shape(64, 8),
+                              Shape(5, 64), Shape(1, 64)};
 
 TEST(Bsgs, ThreadCountInvariance) {
   BsgsFixture f(128);
-  const std::size_t m = 32, n = 64;
-  BsgsHmvp probe(f.ctx, nullptr);
-  auto gk = f.keys_for(probe.required_galois_elements(n));
-  BsgsHmvp engine(f.ctx, &gk);
-  auto a = DenseMatrix::random(m, n, f.ctx->params().t, f.rng);
-  auto ct_v = engine.encrypt_vector(f.random_vector(n), f.encryptor);
-  Ciphertext t1 = engine.multiply(a, ct_v, nullptr, 1);
-  Ciphertext t8 = engine.multiply(a, ct_v, nullptr, 8);
-  expect_ct_eq(t1, t8);
+  for (auto [m, n] : kExactShapes) {
+    SCOPED_TRACE(m);
+    SCOPED_TRACE(n);
+    BsgsHmvp probe(f.ctx, nullptr);
+    auto gk = f.keys_for(probe.required_galois_elements(n));
+    BsgsHmvp engine(f.ctx, &gk);
+    auto a = DenseMatrix::random(m, n, f.ctx->params().t, f.rng);
+    auto ct_v = engine.encrypt_vector(f.random_vector(n), f.encryptor);
+    Ciphertext t1 = engine.multiply(a, ct_v, nullptr, 1);
+    Ciphertext t8 = engine.multiply(a, ct_v, nullptr, 8);
+    expect_ct_eq(t1, t8);
+  }
 }
 
 TEST(Bsgs, MatchesDiagonalBaselineDecryption) {
-  // Same decomposition, same decrypt convention — the hoisted engine is
-  // a faster implementation of the same math.
+  // Same input tiling and decrypt convention as the naive strawman; at
+  // 24x64 the hybrid layout takes 32 diagonals and a one-step tail where
+  // the strawman takes 64 diagonals.
   BsgsFixture f(128);
   const std::size_t m = 24, n = 64;
   BsgsHmvp probe(f.ctx, nullptr);
@@ -215,9 +293,7 @@ TEST(Bsgs, EncodedMatchesStreamingBitExact) {
   // The frozen diagonal set must reproduce the streaming multiply bit for
   // bit — the serving layer's cross-request encode cache depends on it.
   BsgsFixture f(128);
-  for (auto [m, n] : {std::pair<std::size_t, std::size_t>{32, 64},
-                      std::pair<std::size_t, std::size_t>{10, 16},
-                      std::pair<std::size_t, std::size_t>{64, 8}}) {
+  for (auto [m, n] : kExactShapes) {
     SCOPED_TRACE(m);
     SCOPED_TRACE(n);
     BsgsHmvp probe(f.ctx, nullptr);
@@ -228,6 +304,7 @@ TEST(Bsgs, EncodedMatchesStreamingBitExact) {
     BsgsEncodedMatrix enc = engine.encode_matrix(a, 4);
     EXPECT_EQ(enc.rows(), m);
     EXPECT_EQ(enc.cols(), n);
+    EXPECT_EQ(enc.plan().diagonals, expected_stats(m, n).plain_mults);
     Ciphertext streaming = engine.multiply(a, ct_v);
     Ciphertext encoded = engine.multiply_encoded(enc, ct_v);
     expect_ct_eq(streaming, encoded);
@@ -268,11 +345,10 @@ TEST(Bsgs, BatchedMatchesSingleShotPerSession) {
   BaselineStats stats;
   auto results = encode_engine.multiply_encoded_batch(enc, batch, &stats, 4);
   ASSERT_EQ(results.size(), k);
-  const std::size_t b = BsgsHmvp::baby_steps(n);
-  const std::size_t g = (n + b - 1) / b;
-  EXPECT_EQ(stats.rotations, k * ((b - 1) + g - 1));
-  EXPECT_EQ(stats.rotations_hoisted, k * (b - 1));
-  EXPECT_EQ(stats.plain_mults, k * n);
+  const BaselineStats per = expected_stats(m, n);
+  EXPECT_EQ(stats.rotations, k * per.rotations);
+  EXPECT_EQ(stats.rotations_hoisted, k * per.rotations_hoisted);
+  EXPECT_EQ(stats.plain_mults, k * per.plain_mults);
   for (std::size_t s = 0; s < k; ++s) {
     SCOPED_TRACE(s);
     BsgsHmvp single(f.ctx, &gks[s]);
@@ -285,23 +361,29 @@ TEST(Bsgs, BatchedMatchesSingleShotPerSession) {
 
 TEST(Bsgs, BatchedThreadCountInvariance) {
   BsgsFixture f(128);
-  const std::size_t m = 24, n = 64;
-  BsgsHmvp probe(f.ctx, nullptr);
-  auto gk = f.keys_for(probe.required_galois_elements(n));
-  BsgsHmvp engine(f.ctx, &gk);
-  auto a = DenseMatrix::random(m, n, f.ctx->params().t, f.rng);
-  BsgsEncodedMatrix enc = engine.encode_matrix(a, 1);
-  BsgsEncodedMatrix enc8 = engine.encode_matrix(a, 8);
-  std::vector<Ciphertext> cts;
-  for (int i = 0; i < 3; ++i) {
-    cts.push_back(engine.encrypt_vector(f.random_vector(n), f.encryptor));
+  for (auto [m, n] : kExactShapes) {
+    SCOPED_TRACE(m);
+    SCOPED_TRACE(n);
+    BsgsHmvp probe(f.ctx, nullptr);
+    auto gk = f.keys_for(probe.required_galois_elements(n));
+    BsgsHmvp engine(f.ctx, &gk);
+    auto a = DenseMatrix::random(m, n, f.ctx->params().t, f.rng);
+    BsgsEncodedMatrix enc = engine.encode_matrix(a, 1);
+    BsgsEncodedMatrix enc8 = engine.encode_matrix(a, 8);
+    std::vector<Ciphertext> cts;
+    for (int i = 0; i < 3; ++i) {
+      cts.push_back(engine.encrypt_vector(f.random_vector(n), f.encryptor));
+    }
+    std::vector<BsgsBatchEntry> batch(cts.size());
+    for (std::size_t i = 0; i < cts.size(); ++i) batch[i].ct_v = &cts[i];
+    auto r1 = engine.multiply_encoded_batch(enc, batch, nullptr, 1);
+    auto r8 = engine.multiply_encoded_batch(enc8, batch, nullptr, 8);
+    ASSERT_EQ(r1.size(), r8.size());
+    for (std::size_t i = 0; i < r1.size(); ++i) {
+      expect_ct_eq(r1[i], r8[i]);
+      expect_ct_eq(r1[i], engine.multiply(a, cts[i], nullptr, 8));
+    }
   }
-  std::vector<BsgsBatchEntry> batch(cts.size());
-  for (std::size_t i = 0; i < cts.size(); ++i) batch[i].ct_v = &cts[i];
-  auto r1 = engine.multiply_encoded_batch(enc, batch, nullptr, 1);
-  auto r8 = engine.multiply_encoded_batch(enc8, batch, nullptr, 8);
-  ASSERT_EQ(r1.size(), r8.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) expect_ct_eq(r1[i], r8[i]);
 }
 
 TEST(Bsgs, AlgorithmChooser) {

@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <thread>
 
 #include "hmvp/bsgs.h"
+#include "obs/trace.h"
 #include "serve/client.h"
 
 namespace cham::serve {
@@ -461,8 +463,56 @@ TEST(Serve, MatrixReversionMidFlight) {
   EXPECT_GE(counters.encode_cache_misses, 2u);
 
   // The coefficient path re-versions too (same API, eager re-encode).
-  // (Server already stopped; snapshot accessors still work.)
-  EXPECT_NE(f.server.matrix(bid), nullptr);
+  // (Server already stopped; snapshot accessors still work.) Only a
+  // coefficient-stamped matrix has a coefficient encoding.
+  f.server.update_matrix(f.matrix_id,
+                         DenseMatrix::random(48, 64, t, f.rng));
+  EXPECT_EQ(f.server.matrix_version(f.matrix_id), 1u);
+  EXPECT_NE(f.server.matrix(f.matrix_id), nullptr);
+  EXPECT_EQ(f.server.matrix(bid), nullptr);
+}
+
+// Coefficient matrix encodes (hmvp.encode_matrix spans) recorded while
+// `fn` runs.
+std::size_t coefficient_encodes(const std::function<void()>& fn) {
+  auto& rec = obs::TraceRecorder::instance();
+  const bool was_enabled = rec.enabled();
+  rec.disable();
+  rec.clear();
+  rec.enable();
+  fn();
+  rec.disable();
+  std::size_t n = 0;
+  for (const auto& ev : rec.events()) {
+    if (std::string(ev.name) == "hmvp.encode_matrix") ++n;
+  }
+  if (was_enabled) rec.enable();
+  return n;
+}
+
+TEST(Serve, BsgsStampedMatrixGetsNoCoefficientEncode) {
+  // Each matrix version is encoded only for the engine it is stamped
+  // with: registering and re-versioning a BSGS-stamped matrix runs no
+  // coefficient encode and keeps no coefficient encoding.
+#ifdef CHAM_OBS_DISABLED
+  GTEST_SKIP() << "trace spans compiled out";
+#endif
+  ServeFixture f;
+  const u64 t = f.ctx->params().t;
+  std::uint32_t bid = 0;
+  EXPECT_EQ(coefficient_encodes([&] {
+              bid = f.add_bsgs_matrix();
+              f.server.update_matrix(bid, DenseMatrix::random(32, 32, t, f.rng));
+            }),
+            0u);
+  ASSERT_EQ(f.server.matrix_algorithm(bid), MvpAlgorithm::kBsgs);
+  EXPECT_EQ(f.server.matrix(bid), nullptr);
+  // The probe does see a coefficient-stamped matrix's encode.
+  EXPECT_GT(coefficient_encodes([&] {
+              f.server.update_matrix(f.matrix_id,
+                                     DenseMatrix::random(48, 64, t, f.rng));
+            }),
+            0u);
 }
 
 TEST(Serve, UpdateMatrixRejectsShapeChange) {
