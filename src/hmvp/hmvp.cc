@@ -493,6 +493,14 @@ std::vector<HmvpResult> hmvp_run_batch(
 HmvpEngine::HmvpEngine(BfvContextPtr context, const GaloisKeys* gk)
     : ctx_(std::move(context)), gk_(gk), encoder_(ctx_), eval_(ctx_) {}
 
+std::vector<u64> HmvpEngine::required_galois_elements(std::size_t rows,
+                                                      std::size_t cols) const {
+  const Geometry geo(ctx_, rows, cols);
+  std::vector<u64> out;
+  for (std::size_t c = 2; c <= geo.pack_count; c <<= 1) out.push_back(c + 1);
+  return out;
+}
+
 std::vector<Ciphertext> HmvpEngine::encrypt_vector(
     const std::vector<u64>& v, const Encryptor& enc) const {
   CHAM_CHECK_MSG(!v.empty(), "empty vector");

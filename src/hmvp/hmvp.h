@@ -110,8 +110,15 @@ struct HmvpBatchEntry {
 
 class HmvpEngine {
  public:
-  // gk must hold Galois keys up to level log2(min(N, next_pow2(rows))).
+  // gk must hold required_galois_elements(rows, cols).
   HmvpEngine(BfvContextPtr context, const GaloisKeys* gk);
+
+  // Sorted Galois elements a rows×cols product consumes: the pack-tree
+  // elements 2^l + 1 for l = 1..log2(pack_count), pack_count =
+  // min(N, next_pow2(rows)) — the hoisted rotations of ct(v) use the
+  // same elements as the bottom tree levels.
+  std::vector<u64> required_galois_elements(std::size_t rows,
+                                            std::size_t cols) const;
 
   // Encrypt the input vector (splitting into chunks of N).
   std::vector<Ciphertext> encrypt_vector(const std::vector<u64>& v,

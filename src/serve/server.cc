@@ -1,5 +1,7 @@
 #include "serve/server.h"
 
+#include <algorithm>
+
 #include "nt/bitops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,20 +11,6 @@ namespace cham::serve {
 namespace {
 
 std::uint64_t now_ns() { return obs::TraceRecorder::now_ns(); }
-
-// Snapshot a row source into the dense copy a BSGS-stamped MatrixEntry
-// keeps as the seed of its lazy (per-version) diagonal freeze.
-std::shared_ptr<const DenseMatrix> densify(const RowSource& a) {
-  auto m = std::make_shared<DenseMatrix>(a.rows(), a.cols());
-  std::vector<std::uint64_t> row(a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    a.row(i, row.data());
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      m->at(i, j) = static_cast<std::uint32_t>(row[j]);
-    }
-  }
-  return m;
-}
 
 }  // namespace
 
@@ -51,17 +39,18 @@ std::uint32_t HmvpServer::add_matrix(const RowSource& a) {
   entry->chunks = (a.cols() + ctx_->n() - 1) / ctx_->n();
   entry->algo = cfg_.force_algorithm.value_or(
       choose_mvp_algorithm(a.rows(), a.cols(), ctx_->n()));
-  // Each version is encoded only for the stamped engine.
+  std::vector<u64> need;  // Galois elements the stamped engine consumes
   if (entry->algo == MvpAlgorithm::kBsgs) {
     const std::size_t half = ctx_->n() / 2;
     CHAM_CHECK_MSG(is_power_of_two(a.cols()) && a.cols() <= half &&
                        a.rows() <= half,
                    "bsgs-stamped matrix violates diagonal shape limits");
-    entry->raw = densify(a);
+    need = bsgs_engine_.required_galois_elements(a.cols());
   } else {
-    entry->coeff = std::make_shared<const EncodedMatrix>(
-        engine_.encode_matrix(a, cfg_.threads));
+    need = engine_.required_galois_elements(a.rows(), a.cols());
   }
+  required_galois_.insert(need.begin(), need.end());
+  entry->op = encode(entry->algo, a, cfg_.threads);
   obs::MetricsRegistry::global()
       .counter(std::string("serve.matrix_pref_") +
                mvp_algorithm_name(entry->algo))
@@ -75,19 +64,15 @@ void HmvpServer::update_matrix(std::uint32_t id, const RowSource& a) {
   MatrixEntry& entry = *matrices_[id];
   CHAM_CHECK_MSG(a.rows() == entry.rows && a.cols() == entry.cols,
                  "update_matrix must keep the registered shape");
-  // Encode outside the lock; in-flight sweeps keep their snapshots and
-  // the swap below only retargets future batches.
-  const bool bsgs = entry.algo == MvpAlgorithm::kBsgs;
-  std::shared_ptr<const DenseMatrix> raw = bsgs ? densify(a) : nullptr;
-  std::shared_ptr<const EncodedMatrix> coeff =
-      bsgs ? nullptr
-           : std::make_shared<const EncodedMatrix>(
-                 engine_.encode_matrix(a, cfg_.threads));
+  // Encode outside the lock, on one lane: a multi-lane encode would be a
+  // pool job, and ThreadPool::run serializes jobs, so every sweep would
+  // wait for it. In-flight sweeps keep their snapshots and the swap below
+  // only retargets future batches; the replaced operand is released after
+  // the lock, so the compute thread never waits on its free.
+  Operand op = encode(entry.algo, a, 1);
   {
     std::unique_lock<std::shared_mutex> lk(entry.mu);
-    entry.raw = std::move(raw);
-    entry.coeff = std::move(coeff);
-    entry.bsgs.reset();  // lazily re-frozen on the next BSGS batch
+    std::swap(entry.op, op);
     ++entry.version;
   }
   reversions_.fetch_add(1, std::memory_order_relaxed);
@@ -98,7 +83,7 @@ std::shared_ptr<const EncodedMatrix> HmvpServer::matrix(
     std::uint32_t id) const {
   CHAM_CHECK_MSG(id < matrices_.size(), "unknown matrix id " << id);
   std::shared_lock<std::shared_mutex> lk(matrices_[id]->mu);
-  return matrices_[id]->coeff;
+  return matrices_[id]->op.coeff;
 }
 
 std::uint32_t HmvpServer::matrix_version(std::uint32_t id) const {
@@ -112,33 +97,19 @@ MvpAlgorithm HmvpServer::matrix_algorithm(std::uint32_t id) const {
   return matrices_[id]->algo;
 }
 
-std::shared_ptr<const BsgsEncodedMatrix> HmvpServer::bsgs_encoding(
-    MatrixEntry& entry) {
-  auto& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::uint32_t version;
-    std::shared_ptr<const DenseMatrix> raw;
-    {
-      std::shared_lock<std::shared_mutex> lk(entry.mu);
-      if (entry.bsgs != nullptr) {
-        encode_hits_.fetch_add(1, std::memory_order_relaxed);
-        reg.counter("serve.encode_cache.hit").add(1);
-        return entry.bsgs;
-      }
-      version = entry.version;
-      raw = entry.raw;
-    }
-    // Freeze the diagonal set outside the lock (it is the expensive
-    // part); a re-version that lands mid-freeze discards this build.
+HmvpServer::Operand HmvpServer::encode(MvpAlgorithm algo,
+                                       const RowSource& a, int threads) {
+  Operand op;
+  if (algo == MvpAlgorithm::kBsgs) {
+    op.bsgs = std::make_shared<const BsgsEncodedMatrix>(
+        bsgs_engine_.encode_matrix(a, threads));
     encode_misses_.fetch_add(1, std::memory_order_relaxed);
-    reg.counter("serve.encode_cache.miss").add(1);
-    auto built = std::make_shared<const BsgsEncodedMatrix>(
-        bsgs_engine_.encode_matrix(*raw, cfg_.threads));
-    std::unique_lock<std::shared_mutex> lk(entry.mu);
-    if (entry.version != version) continue;
-    if (entry.bsgs == nullptr) entry.bsgs = std::move(built);
-    return entry.bsgs;
+    obs::MetricsRegistry::global().counter("serve.encode_cache.miss").add(1);
+  } else {
+    op.coeff = std::make_shared<const EncodedMatrix>(
+        engine_.encode_matrix(a, threads));
   }
+  return op;
 }
 
 ClientLink HmvpServer::connect() {
@@ -200,7 +171,6 @@ HmvpServer::Counters HmvpServer::counters() const {
   c.sessions = sessions_n_.load();
   c.batches_bsgs = batches_bsgs_.load();
   c.batches_coeff = batches_coeff_.load();
-  c.encode_cache_hits = encode_hits_.load();
   c.encode_cache_misses = encode_misses_.load();
   c.reversions = reversions_.load();
   c.batch_occupancy =
@@ -246,6 +216,19 @@ void HmvpServer::handle_message(const std::vector<std::uint8_t>& blob) {
         std::lock_guard<std::mutex> lk(links_mu_);
         CHAM_CHECK_MSG(client_id < downs_.size(), "hello from unknown client");
         down = downs_[client_id].get();
+      }
+      // A key set missing an element some registered matrix rotates by
+      // would fail mid-sweep on the compute thread. Refuse the hello and
+      // drop any earlier binding under the name: its keys no longer match
+      // the client's, so its requests answer kUnknownSession.
+      const bool complete =
+          std::all_of(required_galois_.begin(), required_galois_.end(),
+                      [&](u64 e) { return gk.has(e); });
+      if (!complete) {
+        sessions_.erase(name);
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        reg.counter("serve.errors").add(1);
+        return;
       }
       sessions_[name] =
           std::make_shared<Session>(ctx_, name, std::move(gk), down);
@@ -361,16 +344,22 @@ void HmvpServer::compute_loop() {
                       "pop_batch mixed matrix ids in one batch");
     }
     MatrixEntry& mat = *matrices_[batch[0].matrix_id];
+    Operand op;  // in-flight snapshot; update_matrix built it
+    {
+      std::shared_lock<std::shared_mutex> lk(mat.mu);
+      op = mat.op;
+    }
     std::vector<Session*> who(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       who[i] = static_cast<Session*>(batch[i].binding.get());
+      reg.histogram("serve.queue_wait_ns").record(t0 - batch[i].enqueue_ns);
     }
-    // Responses are assembled per algorithm: the coefficient sweep packs
-    // LWEs (coefficient layout), the BSGS sweep returns one slot-layout
-    // ciphertext per request, marked by pack_count == 0.
-    std::uint64_t t1 = 0;
-    if (mat.algo == MvpAlgorithm::kBsgs) {
-      auto enc = bsgs_encoding(mat);  // in-flight shared_ptr snapshot
+    // Both sweeps answer in HmvpResult's layout: the coefficient sweep
+    // packs LWEs (coefficient layout), the BSGS sweep returns one
+    // slot-layout ciphertext per request, marked by pack_count == 0.
+    const bool bsgs = mat.algo == MvpAlgorithm::kBsgs;
+    std::vector<HmvpResult> results;
+    if (bsgs) {
       std::vector<BsgsBatchEntry> entries(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         CHAM_DCHECK_MSG(batch[i].ct_v.size() == 1,
@@ -379,56 +368,39 @@ void HmvpServer::compute_loop() {
         entries[i].eval = &who[i]->eval;
         entries[i].gk = &who[i]->gk;
       }
-      auto results =
-          bsgs_engine_.multiply_encoded_batch(*enc, entries, nullptr,
-                                              cfg_.threads);
-      t1 = now_ns();
-      reg.histogram("serve.sweep_ns").record(t1 - t0);
+      auto cts = bsgs_engine_.multiply_encoded_batch(*op.bsgs, entries,
+                                                     nullptr, cfg_.threads);
+      results.resize(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        CHAM_SPAN("serve.respond");
-        ByteWriter w;
-        std::vector<Ciphertext> one;
-        one.push_back(std::move(results[i]));
-        build_response(batch[i].request_id, Status::kOk, one, mat.rows,
-                       /*pack_count=*/0, cfg_.wire, w);
-        who[i]->down->send(w);
-        responses_.fetch_add(1, std::memory_order_relaxed);
-        reg.counter("serve.responses").add(1);
-        reg.histogram("serve.request_ns")
-            .record(now_ns() - batch[i].enqueue_ns);
+        results[i].packed.push_back(std::move(cts[i]));
+        results[i].rows = mat.rows;
       }
-      batches_bsgs_.fetch_add(1, std::memory_order_relaxed);
-      reg.counter("serve.algo.bsgs").add(1);
     } else {
-      std::shared_ptr<const EncodedMatrix> enc;
-      {
-        std::shared_lock<std::shared_mutex> lk(mat.mu);
-        enc = mat.coeff;
-      }
       std::vector<HmvpBatchEntry> entries(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         entries[i].ct_v = &batch[i].ct_v;
         entries[i].eval = &who[i]->eval;
         entries[i].gk = &who[i]->gk;
       }
-      auto results = engine_.multiply_encoded_batch(*enc, entries,
-                                                    cfg_.threads);
-      t1 = now_ns();
-      reg.histogram("serve.sweep_ns").record(t1 - t0);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        CHAM_SPAN("serve.respond");
-        ByteWriter w;
-        build_response(batch[i].request_id, Status::kOk, results[i].packed,
-                       results[i].rows, results[i].pack_count, cfg_.wire, w);
-        who[i]->down->send(w);
-        responses_.fetch_add(1, std::memory_order_relaxed);
-        reg.counter("serve.responses").add(1);
-        reg.histogram("serve.request_ns")
-            .record(now_ns() - batch[i].enqueue_ns);
-      }
-      batches_coeff_.fetch_add(1, std::memory_order_relaxed);
-      reg.counter("serve.algo.coeff").add(1);
+      results = engine_.multiply_encoded_batch(*op.coeff, entries,
+                                               cfg_.threads);
     }
+    const std::uint64_t t1 = now_ns();
+    reg.histogram(bsgs ? "serve.sweep_ns.bsgs" : "serve.sweep_ns.coeff")
+        .record(t1 - t0);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      CHAM_SPAN("serve.respond");
+      ByteWriter w;
+      build_response(batch[i].request_id, Status::kOk, results[i].packed,
+                     results[i].rows, results[i].pack_count, cfg_.wire, w);
+      who[i]->down->send(w);
+      responses_.fetch_add(1, std::memory_order_relaxed);
+      reg.counter("serve.responses").add(1);
+      reg.histogram("serve.request_ns").record(now_ns() - batch[i].enqueue_ns);
+    }
+    (bsgs ? batches_bsgs_ : batches_coeff_)
+        .fetch_add(1, std::memory_order_relaxed);
+    reg.counter(bsgs ? "serve.algo.bsgs" : "serve.algo.coeff").add(1);
     reg.histogram("serve.respond_ns").record(now_ns() - t1);
     reg.histogram("serve.batch_size").record(batch.size());
     batches_.fetch_add(1, std::memory_order_relaxed);

@@ -18,7 +18,9 @@
 // Sessions: a client's hello carries its (seed-expanded) Galois keys;
 // the server binds them to an Evaluator scoped to that session and that
 // hello's keys, so the frozen pack and rotation operands live in an
-// EvkManager cache that a re-hello releases. Requests from different
+// EvkManager cache that a re-hello releases. A hello missing a Galois
+// element some registered matrix consumes is refused and unbinds its
+// name (kUnknownSession thereafter). Requests from different
 // sessions still coalesce into one sweep: the coefficient engine shares
 // the matrix operands and switches keys per request for its rotations
 // and pack tree (HmvpBatchEntry), and a BSGS batch runs per-session
@@ -31,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -74,16 +77,18 @@ class HmvpServer {
   explicit HmvpServer(BfvContextPtr ctx, ServerConfig cfg = {});
   ~HmvpServer();
 
-  // Pre-encode a matrix the server will multiply by (before start()).
-  // The returned id is stable; update_matrix() re-versions it in place.
+  // Pre-encode a matrix the server will multiply by (before start()),
+  // for its stamped engine only, on up to cfg.threads pool lanes. The
+  // returned id is stable; update_matrix() re-versions it in place.
   std::uint32_t add_matrix(const RowSource& a);
 
   // Replace matrix `id` with new values of the same shape and bump its
-  // version. Thread-safe; allowed while running: a coefficient-stamped
-  // matrix is re-encoded eagerly, a BSGS-stamped one drops its diagonal
-  // set (lazily re-frozen on the next BSGS batch), and any in-flight
-  // batch keeps sweeping the snapshot it already holds — a re-version can
-  // never invalidate a running sweep.
+  // version. Thread-safe; allowed while running. The new version is
+  // encoded for the stamped engine on the caller's thread, one lane (no
+  // pool job, so no running sweep waits on it), before the swap: the
+  // compute thread never encodes. Any in-flight batch keeps sweeping the
+  // snapshot it already holds — a re-version can never invalidate a
+  // running sweep.
   void update_matrix(std::uint32_t id, const RowSource& a);
 
   // Snapshot of the current coefficient encoding (in-flight consumers
@@ -122,8 +127,9 @@ class HmvpServer {
     std::uint64_t sessions = 0;    // hellos processed
     std::uint64_t batches_bsgs = 0;   // sweeps run on the BSGS engine
     std::uint64_t batches_coeff = 0;  // sweeps run on the coefficient engine
-    std::uint64_t encode_cache_hits = 0;    // BSGS batches reusing a frozen set
-    std::uint64_t encode_cache_misses = 0;  // BSGS diagonal freezes performed
+    // BSGS diagonal freezes: one per BSGS-stamped matrix version, run by
+    // add_matrix/update_matrix.
+    std::uint64_t encode_cache_misses = 0;
     std::uint64_t reversions = 0;  // update_matrix() version bumps
     double batch_occupancy = 0.0;  // batched / batches
   };
@@ -152,31 +158,33 @@ class HmvpServer {
           down(d) {}
   };
 
+  // One version's frozen operand: exactly one of the two is set, the
+  // stamped engine's.
+  struct Operand {
+    std::shared_ptr<const EncodedMatrix> coeff;
+    std::shared_ptr<const BsgsEncodedMatrix> bsgs;
+  };
+
   // One registered matrix. Shape and algorithm stamp are immutable after
-  // add_matrix(); the versioned encodings behind `mu` are snapshotted by
-  // shared_ptr, so a concurrent update_matrix() re-version swaps them out
-  // without invalidating the copies an in-flight batch holds.
+  // add_matrix(); the versioned operand behind `mu` is snapshotted by
+  // shared_ptr, so a concurrent update_matrix() re-version swaps it out
+  // without invalidating the copy an in-flight batch holds. The snapshot
+  // is the whole cross-request encode cache.
   struct MatrixEntry {
     std::size_t rows = 0, cols = 0, chunks = 0;
     MvpAlgorithm algo = MvpAlgorithm::kCoefficient;
     mutable std::shared_mutex mu;  // guards the versioned state below
     std::uint32_t version = 0;
-    // Per version, only the stamped engine's operands exist: kBsgs keeps
-    // `raw` (the seed of the lazy diagonal freeze) and `bsgs`;
-    // kCoefficient keeps `coeff`.
-    std::shared_ptr<const DenseMatrix> raw;
-    std::shared_ptr<const EncodedMatrix> coeff;      // eager per version
-    std::shared_ptr<const BsgsEncodedMatrix> bsgs;   // frozen on first use
+    Operand op;
   };
 
   void ingest_loop();
   void compute_loop();
   void handle_message(const std::vector<std::uint8_t>& blob);
   void respond_error(BlockingChannel* down, std::uint64_t rid, Status status);
-  // The entry's frozen BSGS diagonal set — the cross-request encode
-  // cache. Freezes lazily (outside the entry lock) on first use per
-  // version; publishes serve.encode_cache.{hit,miss}.
-  std::shared_ptr<const BsgsEncodedMatrix> bsgs_encoding(MatrixEntry& entry);
+  // Build one version's operand for `algo` on up to `threads` lanes; a
+  // BSGS freeze counts serve.encode_cache.miss.
+  Operand encode(MvpAlgorithm algo, const RowSource& a, int threads);
 
   BfvContextPtr ctx_;
   ServerConfig cfg_;
@@ -184,6 +192,9 @@ class HmvpServer {
   BsgsHmvp bsgs_engine_;  // encode + batched sweep; keys come per request
 
   std::vector<std::unique_ptr<MatrixEntry>> matrices_;
+  // Galois elements the registered matrices' stamped engines consume; a
+  // hello must carry all of them.
+  std::set<u64> required_galois_;
 
   BlockingChannel inbox_;
   std::mutex links_mu_;
@@ -203,8 +214,7 @@ class HmvpServer {
 
   std::atomic<std::uint64_t> requests_{0}, responses_{0}, rejected_{0},
       cancelled_{0}, errors_{0}, batches_{0}, batched_{0}, sessions_n_{0},
-      batches_bsgs_{0}, batches_coeff_{0}, encode_hits_{0}, encode_misses_{0},
-      reversions_{0};
+      batches_bsgs_{0}, batches_coeff_{0}, encode_misses_{0}, reversions_{0};
 };
 
 }  // namespace cham::serve

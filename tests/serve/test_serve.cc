@@ -11,6 +11,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "hmvp/bsgs.h"
@@ -374,6 +376,8 @@ TEST(Serve, MixedAlgorithmLoadAcrossSessions) {
   ASSERT_EQ(f.server.matrix_algorithm(f.matrix_id),
             MvpAlgorithm::kCoefficient);
   ASSERT_EQ(f.server.matrix_algorithm(bid), MvpAlgorithm::kBsgs);
+  // add_matrix froze the diagonal set before any batch ran.
+  EXPECT_EQ(f.server.counters().encode_cache_misses, 1u);
   f.server.start();
 
   constexpr int kClients = 4;
@@ -410,16 +414,15 @@ TEST(Serve, MixedAlgorithmLoadAcrossSessions) {
   EXPECT_GT(counters.batches_coeff, 0u);
   EXPECT_EQ(counters.batches_bsgs + counters.batches_coeff,
             counters.batches);
-  // One lazy diagonal freeze per (matrix, version); later BSGS batches
-  // hit the cross-request cache.
+  // One diagonal freeze per (matrix, version), at add_matrix; no BSGS
+  // batch froze another.
   EXPECT_EQ(counters.encode_cache_misses, 1u);
-  EXPECT_EQ(counters.encode_cache_hits, counters.batches_bsgs - 1);
 }
 
 TEST(Serve, MatrixReversionMidFlight) {
   // update_matrix() while the server is running: earlier batches complete
   // on the encoding they snapshotted, later batches see the new version,
-  // and the BSGS diagonal cache re-freezes once per version.
+  // and the BSGS diagonal set is frozen once per version, by the writer.
   ServeFixture f;
   const std::uint32_t bid = f.add_bsgs_matrix();
   f.server.start();
@@ -460,7 +463,7 @@ TEST(Serve, MatrixReversionMidFlight) {
   f.server.stop();
   const auto counters = f.server.counters();
   EXPECT_EQ(counters.reversions, 2u);
-  EXPECT_GE(counters.encode_cache_misses, 2u);
+  EXPECT_EQ(counters.encode_cache_misses, 3u);
 
   // The coefficient path re-versions too (same API, eager re-encode).
   // (Server already stopped; snapshot accessors still work.) Only a
@@ -470,6 +473,223 @@ TEST(Serve, MatrixReversionMidFlight) {
   EXPECT_EQ(f.server.matrix_version(f.matrix_id), 1u);
   EXPECT_NE(f.server.matrix(f.matrix_id), nullptr);
   EXPECT_EQ(f.server.matrix(bid), nullptr);
+}
+
+// Reads rows of a dense matrix and records every thread that did.
+class RecordingRows : public RowSource {
+ public:
+  explicit RecordingRows(const DenseMatrix& m) : m_(m) {}
+  std::size_t rows() const override { return m_.rows(); }
+  std::size_t cols() const override { return m_.cols(); }
+  void row(std::size_t i, std::uint64_t* out) const override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      readers_.insert(std::this_thread::get_id());
+    }
+    m_.row(i, out);
+  }
+  std::set<std::thread::id> readers() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return readers_;
+  }
+
+ private:
+  const DenseMatrix& m_;
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> readers_;
+};
+
+std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+TEST(Serve, ReversionsRaceMixedLoad) {
+  // One thread re-versions both matrices K times while three sessions
+  // stream mixed BSGS and coefficient requests. Every response must
+  // decrypt to a version live between its send and its receipt, each
+  // BSGS version is frozen exactly once, and after start() only the
+  // update_matrix caller reads a matrix: the compute thread never encodes.
+  ServerConfig cfg;
+  cfg.max_batch = 4;
+  cfg.batch_window = milliseconds(1);
+  cfg.threads = 2;
+  ServeFixture f(cfg);
+  const std::uint32_t bid = f.add_bsgs_matrix();
+  const u64 t = f.ctx->params().t;
+  constexpr int kUpdates = 6;
+  constexpr int kSessions = 3;
+  constexpr int kMinPerSession = 6;
+
+  // Per matrix (0 = coefficient, 1 = BSGS): its values and the
+  // [begin, end] of the update_matrix call that installed each version.
+  const std::uint32_t ids[2] = {f.matrix_id, bid};
+  std::vector<DenseMatrix> versions[2] = {{f.mat}, {*f.bsgs_mat}};
+  std::vector<std::pair<std::int64_t, std::int64_t>> installed[2];
+  for (int m = 0; m < 2; ++m) {
+    installed[m].emplace_back(0, 0);
+    for (int k = 0; k < kUpdates; ++k) {
+      const DenseMatrix& base = versions[m][0];
+      versions[m].push_back(
+          DenseMatrix::random(base.rows(), base.cols(), t, f.rng));
+    }
+  }
+  f.server.start();
+
+  std::atomic<bool> updates_done{false};
+  std::thread::id updater_id;
+  std::set<std::thread::id> readers;
+  std::thread updater([&] {
+    updater_id = std::this_thread::get_id();
+    for (int k = 1; k <= kUpdates; ++k) {
+      std::this_thread::sleep_for(milliseconds(3));
+      for (int m = 0; m < 2; ++m) {
+        RecordingRows src(versions[m][k]);
+        const std::int64_t begin = steady_ns();
+        f.server.update_matrix(ids[m], src);
+        installed[m].emplace_back(begin, steady_ns());
+        const auto r = src.readers();
+        readers.insert(r.begin(), r.end());
+      }
+    }
+    updates_done.store(true);
+  });
+
+  struct Sample {
+    int m = 0;
+    std::vector<u64> v, got;
+    std::int64_t sent = 0, received = 0;
+  };
+  std::vector<std::vector<Sample>> samples(kSessions);
+  std::atomic<int> not_ok{0};
+  std::vector<std::thread> sessions;
+  for (int si = 0; si < kSessions; ++si) {
+    sessions.emplace_back([&, si] {
+      ServeClient c = f.make_client("race-" + std::to_string(si), 6000 + si,
+                                    f.bsgs_elements());
+      c.hello();
+      for (int k = 0; k < kMinPerSession || !updates_done.load(); ++k) {
+        Sample s;
+        s.m = (si + k) % 2;
+        s.v = f.random_vector(versions[s.m][0].cols(), si * 1000 + k);
+        s.sent = steady_ns();
+        c.submit(ids[s.m], s.v, f.server.matrix_algorithm(ids[s.m]));
+        Response r = c.await();
+        s.received = steady_ns();
+        if (r.status != Status::kOk) {
+          not_ok.fetch_add(1);
+          continue;
+        }
+        s.got = c.decrypt(r);
+        samples[si].push_back(std::move(s));
+      }
+      c.goodbye();
+    });
+  }
+  for (auto& th : sessions) th.join();
+  updater.join();
+  f.server.stop();
+
+  EXPECT_EQ(not_ok.load(), 0);
+  for (const auto& per_session : samples) {
+    for (const Sample& s : per_session) {
+      // Version v is live unless it was installed after the receipt or
+      // replaced before the send.
+      bool live_match = false;
+      const auto& inst = installed[s.m];
+      for (std::size_t v = 0; v < inst.size() && !live_match; ++v) {
+        const bool started = inst[v].first <= s.received;
+        const bool replaced =
+            v + 1 < inst.size() && inst[v + 1].second < s.sent;
+        live_match = started && !replaced &&
+                     s.got == HmvpEngine::reference(versions[s.m][v], s.v, t);
+      }
+      EXPECT_TRUE(live_match) << "matrix " << s.m << " sent at " << s.sent;
+    }
+  }
+  const auto counters = f.server.counters();
+  EXPECT_EQ(counters.encode_cache_misses, 1u + kUpdates);
+  EXPECT_EQ(counters.reversions, 2u * kUpdates);
+  EXPECT_EQ(counters.errors, 0u);
+  EXPECT_EQ(readers, std::set<std::thread::id>{updater_id});
+}
+
+// --- Hello key validation -------------------------------------------------
+
+TEST(Serve, HelloMissingPackKeysIsRefused) {
+  // The 48-row coefficient matrix packs 64 rows (elements 2^l + 1,
+  // l = 1..6). A client with two pack levels must be refused at hello
+  // rather than abort the compute thread mid-sweep.
+  ServeFixture f;
+  f.server.start();
+  ServeClient shallow(f.ctx, f.server.connect(), "shallow",
+                      /*pack_levels=*/2, 31);
+  shallow.hello();
+  const auto v = f.random_vector(f.mat.cols(), 1);
+  shallow.submit(f.matrix_id, v);
+  EXPECT_EQ(shallow.await().status, Status::kUnknownSession);
+  // Sessions with the full key set are still served.
+  ServeClient good = f.make_client("good", 32);
+  good.hello();
+  good.submit(f.matrix_id, v);
+  Response r = good.await();
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(good.decrypt(r), HmvpEngine::reference(f.mat, v, f.ctx->params().t));
+  f.server.stop();
+  const auto counters = f.server.counters();
+  EXPECT_EQ(counters.sessions, 1u);
+  EXPECT_EQ(counters.errors, 2u);  // the hello and its session's request
+}
+
+TEST(Serve, HelloMissingBsgsRotationKeysIsRefused) {
+  // Pack keys alone do not cover the 32-column BSGS matrix's baby/giant
+  // rotations, so the hello binds no session for either matrix.
+  ServeFixture f;
+  const std::uint32_t bid = f.add_bsgs_matrix();
+  f.server.start();
+  ServeClient norot = f.make_client("norot", 33);
+  norot.hello();
+  const auto v = f.random_vector(32, 2);
+  norot.submit(bid, v, MvpAlgorithm::kBsgs);
+  EXPECT_EQ(norot.await().status, Status::kUnknownSession);
+  norot.submit(f.matrix_id, f.random_vector(f.mat.cols(), 3));
+  EXPECT_EQ(norot.await().status, Status::kUnknownSession);
+  ServeClient good = f.make_client("good", 34, f.bsgs_elements());
+  good.hello();
+  good.submit(bid, v, MvpAlgorithm::kBsgs);
+  Response r = good.await();
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(good.decrypt(r),
+            HmvpEngine::reference(*f.bsgs_mat, v, f.ctx->params().t));
+  f.server.stop();
+  EXPECT_EQ(f.server.counters().sessions, 1u);
+}
+
+TEST(Serve, BadReHelloDropsTheLiveBinding) {
+  // A refused re-hello under a live name unbinds the name: the earlier
+  // keys no longer match the client's, so its requests answer
+  // kUnknownSession until a complete hello binds it again.
+  ServeFixture f;
+  f.server.start();
+  const u64 t = f.ctx->params().t;
+  const auto v = f.random_vector(f.mat.cols(), 4);
+  ServeClient alice = f.make_client("alice", 41);
+  alice.hello();
+  alice.submit(f.matrix_id, v);
+  ASSERT_EQ(alice.await().status, Status::kOk);
+  ServeClient shallow(f.ctx, f.server.connect(), "alice", /*pack_levels=*/2,
+                      42);
+  shallow.hello();
+  alice.submit(f.matrix_id, v);
+  EXPECT_EQ(alice.await().status, Status::kUnknownSession);
+  alice.hello();
+  alice.submit(f.matrix_id, v);
+  Response r = alice.await();
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(alice.decrypt(r), HmvpEngine::reference(f.mat, v, t));
+  f.server.stop();
+  EXPECT_EQ(f.server.counters().sessions, 2u);
 }
 
 // Coefficient matrix encodes (hmvp.encode_matrix spans) recorded while
