@@ -689,6 +689,120 @@ void bench_crt(TablePrinter& table) {
                       .field("speedup", lift_coeff_ns / lift_span_ns));
 }
 
+// The group stage's MultPoly before and after the lazy (b, a) dot
+// product, per compiled level, as a same-run interleaved ratio. One tile
+// at the paper's shape (128x4096, 2^L = 16): K = 16 rotations, 8 nodes
+// with their own Q operands, the three paper primes. The old path froze
+// the 2K rotation limbs into Shoup form once per request and ran 2K
+// Shoup products (mul_shoup, then mul_shoup_acc) per node; the new one
+// runs one dot2 per node and 256-coefficient block. Both write fully
+// reduced, bit-identical accumulators (self-checked).
+void bench_dot2(TablePrinter& table) {
+  constexpr std::size_t n = 4096, K = 16, nodes = 8;
+  const u64 primes[] = {(1ULL << 34) + (1ULL << 27) + 1,
+                        (1ULL << 34) + (1ULL << 19) + 1,
+                        (1ULL << 38) + (1ULL << 23) + 1};
+  struct Limb {
+    std::vector<std::vector<u64>> xb, xa, quo_b, quo_a;  // [j][i]
+    std::vector<std::vector<u64>> w;                     // [node·K + j][i]
+    std::vector<std::vector<u64>> acc_b, acc_a;          // [node][i]
+  };
+  Rng rng(6);
+  std::vector<Limb> limbs(3);
+  for (std::size_t l = 0; l < 3; ++l) {
+    Limb& d = limbs[l];
+    const auto rand_poly = [&] {
+      std::vector<u64> v(n);
+      for (auto& c : v) c = rng.uniform(primes[l]);
+      return v;
+    };
+    for (std::size_t j = 0; j < K; ++j) {
+      d.xb.push_back(rand_poly());
+      d.xa.push_back(rand_poly());
+    }
+    d.quo_b.assign(K, std::vector<u64>(n));
+    d.quo_a.assign(K, std::vector<u64>(n));
+    for (std::size_t j = 0; j < nodes * K; ++j) d.w.push_back(rand_poly());
+    d.acc_b.assign(nodes, std::vector<u64>(n));
+    d.acc_a.assign(nodes, std::vector<u64>(n));
+  }
+  const auto shoup_tile = [&](const simd::Kernels& k) {
+    for (std::size_t l = 0; l < 3; ++l) {
+      Limb& d = limbs[l];
+      const Modulus q(primes[l]);
+      for (std::size_t j = 0; j < K; ++j) {
+        poly_shoup_quotients(d.xb[j].data(), d.quo_b[j].data(), n, q, k);
+        poly_shoup_quotients(d.xa[j].data(), d.quo_a[j].data(), n, q, k);
+      }
+      for (std::size_t j = 0; j < K; ++j) {
+        const auto mac = j == 0 ? k.mul_shoup : k.mul_shoup_acc;
+        for (std::size_t o = 0; o < nodes; ++o) {
+          const u64* w = d.w[o * K + j].data();
+          mac(w, d.xb[j].data(), d.quo_b[j].data(), d.acc_b[o].data(), n,
+              primes[l]);
+          mac(w, d.xa[j].data(), d.quo_a[j].data(), d.acc_a[o].data(), n,
+              primes[l]);
+        }
+      }
+    }
+  };
+  std::array<const u64*, K> pb{}, pa{}, pw{};
+  const auto dot_tile = [&](const simd::Kernels& k) {
+    for (std::size_t l = 0; l < 3; ++l) {
+      Limb& d = limbs[l];
+      for (std::size_t blk = 0; blk < n; blk += kDotBlock) {
+        for (std::size_t j = 0; j < K; ++j) {
+          pb[j] = d.xb[j].data() + blk;
+          pa[j] = d.xa[j].data() + blk;
+        }
+        for (std::size_t o = 0; o < nodes; ++o) {
+          for (std::size_t j = 0; j < K; ++j) {
+            pw[j] = d.w[o * K + j].data() + blk;
+          }
+          k.dot2(pb.data(), pa.data(), pw.data(), K,
+                 d.acc_b[o].data() + blk, d.acc_a[o].data() + blk,
+                 kDotBlock, primes[l]);
+        }
+      }
+    }
+  };
+  const auto snapshot = [&] {
+    std::vector<u64> all;
+    for (const Limb& d : limbs) {
+      for (std::size_t o = 0; o < nodes; ++o) {
+        all.insert(all.end(), d.acc_b[o].begin(), d.acc_b[o].end());
+        all.insert(all.end(), d.acc_a[o].begin(), d.acc_a[o].end());
+      }
+    }
+    return all;
+  };
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                            simd::Level::kAvx512, simd::Level::kAvx512Ifma}) {
+    const simd::Kernels* kp = simd::table_for(level);
+    if (kp == nullptr) continue;
+    const std::string label = std::string("dot2_k16:") + simd::level_name(level);
+    shoup_tile(*kp);
+    const std::vector<u64> want = snapshot();
+    dot_tile(*kp);
+    bench_check(snapshot() == want, label + " == Shoup MAC tile");
+    const auto [shoup, dot] = paired_ns_per_coeff(
+        n * nodes * 3, 32, [&] { shoup_tile(*kp); }, [&] { dot_tile(*kp); });
+    table.add_row({"MultPoly tile, freeze + Shoup MAC (" +
+                       std::string(simd::level_name(level)) + ")",
+                   TablePrinter::num(shoup, 2), "1", "1.00x"});
+    table.add_row({"MultPoly tile, dot2 (" +
+                       std::string(simd::level_name(level)) + ")",
+                   TablePrinter::num(dot, 2), "1",
+                   TablePrinter::num(shoup / dot, 2) + "x"});
+    emit_cham_bench(obs::JsonWriter()
+                        .field("kernel", label)
+                        .field("ns_per_coeff", dot)
+                        .field("shoup_ns_per_coeff", shoup)
+                        .field("threads", 1)
+                        .field("paired_speedup", shoup / dot));
+  }
+}
+
 void bench_hmvp_scaling(std::size_t rows, int max_threads) {
   // Small context: the scaling shape, not absolute time, is the point.
   Rng rng(3);
@@ -752,6 +866,7 @@ int main(int argc, char** argv) {
   bench_ifma(table);
   bench_ifma_dw(table);
   bench_crt(table);
+  bench_dot2(table);
   table.print();
   bench_hmvp_scaling(rows, max_threads);
   emit_cham_metrics();

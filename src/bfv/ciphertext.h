@@ -38,19 +38,4 @@ struct Ciphertext {
   }
 };
 
-// Shoup-frozen form of an NTT-domain ciphertext: the reusable operand of
-// repeated plaintext products. HMVP freezes each ct(v) chunk once and
-// reuses it across up to N matrix rows, so every pointwise product in the
-// row loop becomes a mul_shoup instead of a Barrett multiply.
-struct ShoupCiphertext {
-  ShoupPoly b;
-  ShoupPoly a;
-
-  ShoupCiphertext() = default;
-  explicit ShoupCiphertext(const Ciphertext& ct) : b(ct.b), a(ct.a) {}
-  // Adopts ct's storage as the operands (ct is left without storage).
-  explicit ShoupCiphertext(Ciphertext&& ct)
-      : b(std::move(ct.b)), a(std::move(ct.a)) {}
-};
-
 }  // namespace cham

@@ -86,20 +86,6 @@ void Evaluator::multiply_plain_ntt_inplace(Ciphertext& x,
   x.a.mul_pointwise_inplace(pt_ntt);
 }
 
-void Evaluator::multiply_plain_ntt(const ShoupCiphertext& ct,
-                                   const RnsPoly& pt_ntt,
-                                   Ciphertext& out) const {
-  ct.b.mul_pointwise(pt_ntt, out.b);
-  ct.a.mul_pointwise(pt_ntt, out.a);
-}
-
-void Evaluator::multiply_plain_ntt_acc(const ShoupCiphertext& ct,
-                                       const RnsPoly& pt_ntt,
-                                       Ciphertext& acc) const {
-  ct.b.mul_pointwise_acc(pt_ntt, acc.b);
-  ct.a.mul_pointwise_acc(pt_ntt, acc.a);
-}
-
 Ciphertext Evaluator::multiply_plain(const Ciphertext& x,
                                      const Plaintext& pt) const {
   CHAM_CHECK_MSG(!x.is_ntt(), "expects coefficient-domain ciphertext");

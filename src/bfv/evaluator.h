@@ -41,14 +41,6 @@ class Evaluator {
 
   // x := x ∘ pt (both polys; x must be in NTT form).
   void multiply_plain_ntt_inplace(Ciphertext& x, const RnsPoly& pt_ntt) const;
-
-  // out := ct ∘ pt for a Shoup-frozen ciphertext (out-of-place, writes
-  // into caller-owned scratch; bit-exact with multiply_plain_ntt_inplace).
-  void multiply_plain_ntt(const ShoupCiphertext& ct, const RnsPoly& pt_ntt,
-                          Ciphertext& out) const;
-  // acc += ct ∘ pt (fused multiply-accumulate for dot-product chunks).
-  void multiply_plain_ntt_acc(const ShoupCiphertext& ct,
-                              const RnsPoly& pt_ntt, Ciphertext& acc) const;
   // Convenience: coefficient-domain ct times plaintext, returns
   // coefficient-domain result (3 NTTs internally — the DotProduct stage).
   Ciphertext multiply_plain(const Ciphertext& x, const Plaintext& pt) const;

@@ -7,6 +7,7 @@
 #include "nt/bitops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ring/poly_ops.h"
 
 namespace cham {
 
@@ -225,8 +226,9 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     std::shared_ptr<const BsgsKeys> keys;
     Ciphertext ct_q;
     std::vector<RnsPoly> digits;
-    std::vector<ShoupCiphertext> baby;
-    std::vector<Ciphertext> inner;
+    std::vector<Ciphertext> baby;   // NTT form, plain
+    std::vector<Ciphertext> inner;  // per giant: the MAC accumulator, then
+                                    // its rotation
   };
   std::vector<Req> reqs(k);
   for (std::size_t r = 0; r < k; ++r) {
@@ -246,8 +248,8 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
 
   // Baby-step fan-out flattened over (request, baby index): every lane
   // pulls the digits and keys of the request its item belongs to. The
-  // baby steps stay NTT-resident and Shoup-frozen, so each diagonal
-  // product below is a pointwise multiply-accumulate.
+  // baby steps stay NTT-resident and plain: the giant sweep's lazy dot
+  // products need no Shoup quotients.
   {
     CHAM_SPAN_ARG("bsgs.batch_baby_steps", k * b);
     auto make_baby = [&](std::size_t idx) {
@@ -262,7 +264,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
                                      *rot.ksk);
       }
       ci.to_ntt();
-      rq.baby[i] = ShoupCiphertext(ci);
+      rq.baby[i] = std::move(ci);
     };
     if (threads > 1 && !ThreadPool::in_lane()) {
       ThreadPool::global().parallel_for(0, k * b, threads, make_baby);
@@ -275,7 +277,11 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   // diag_{jb'+i} from the encoded matrix feeds whichever request the lane
   // is working, and the per-request inner sums land in fixed slots, so
   // the ordered final accumulation is bit-exact for every lane count and
-  // batch composition.
+  // batch composition. Per request, a lane first runs the lazy (b, a)
+  // dot products of all its giants block-major — a coefficient block of
+  // every baby step stays cache-resident while the giants' diagonals
+  // stream past it — into the giants' own `inner` slots, then rotates
+  // each.
   const std::size_t total = k * giants;
   auto& pool = ThreadPool::global();
   int lanes = static_cast<int>(
@@ -283,38 +289,62 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
                              pool.max_lanes(), total}));
   if (ThreadPool::in_lane()) lanes = 1;
   std::vector<BaselineStats> lane_stats(static_cast<std::size_t>(lanes));
+  const RnsBasePtr& base_q = ctx_->base_q();
+  const std::size_t n = ctx_->n();
   auto sweep_lane = [&](int lane) {
     CHAM_SPAN("bsgs.batch_giant_sweep");
     BaselineStats& ls = lane_stats[static_cast<std::size_t>(lane)];
-    Ciphertext acc;
-    acc.b = RnsPoly(ctx_->base_q(), true);
-    acc.a = RnsPoly(ctx_->base_q(), true);
     std::vector<RnsPoly> gdigits(ctx_->dnum(),
                                  RnsPoly(ctx_->base_qp(), false));
-    for (std::size_t idx = static_cast<std::size_t>(lane); idx < total;
-         idx += static_cast<std::size_t>(lanes)) {
-      Req& rq = reqs[idx / giants];
-      const std::size_t j = idx % giants;
-      acc.b.set_ntt_form(true);  // from_ntt flipped these last iteration
-      acc.a.set_ntt_form(true);
-      for (std::size_t i = 0; i < b && j * b + i < p.diagonals; ++i) {
-        const RnsPoly& pt_ntt = a.diag_ntt_[j * b + i];
-        if (i == 0) {
-          rq.eval->multiply_plain_ntt(rq.baby[i], pt_ntt, acc);
-        } else {
-          rq.eval->multiply_plain_ntt_acc(rq.baby[i], pt_ntt, acc);
+    std::vector<std::size_t> mine;  // the lane's giants of one request
+    std::vector<const u64*> xb(b), xa(b), w(b);
+    for (std::size_t r = 0; r < k; ++r) {
+      Req& rq = reqs[r];
+      mine.clear();
+      for (std::size_t j = 0; j < giants; ++j) {
+        if ((r * giants + j) % static_cast<std::size_t>(lanes) ==
+            static_cast<std::size_t>(lane)) {
+          mine.push_back(j);
         }
-        ls.plain_mults += 1;
       }
-      acc.from_ntt();
-      if (j > 0) {
-        const BsgsKeys::Rot& rot = rotation_key(*rq.keys, j * b);
-        rq.eval->decompose_ntt_digits(acc.a, gdigits);
-        rq.inner[j] = rq.eval->rotate_hoisted(acc, gdigits, *rot.coeff,
-                                              *rot.ntt, *rot.ksk);
-        ls.rotations += 1;
-      } else {
-        rq.inner[j] = acc;
+      if (mine.empty()) continue;
+      {
+        CHAM_SPAN_ARG("bsgs.mac", mine.size());
+        for (std::size_t j : mine) {
+          rq.inner[j].b = RnsPoly(base_q, true);
+          rq.inner[j].a = RnsPoly(base_q, true);
+          ls.plain_mults += std::min(b, p.diagonals - j * b);
+        }
+        for (std::size_t l = 0; l < base_q->size(); ++l) {
+          const u64 q = base_q->modulus(l).value();
+          for (std::size_t blk = 0; blk < n; blk += kDotBlock) {
+            const std::size_t len = std::min(kDotBlock, n - blk);
+            for (std::size_t i = 0; i < b; ++i) {
+              xb[i] = rq.baby[i].b.limb(l) + blk;
+              xa[i] = rq.baby[i].a.limb(l) + blk;
+            }
+            for (std::size_t j : mine) {
+              const std::size_t terms = std::min(b, p.diagonals - j * b);
+              for (std::size_t i = 0; i < terms; ++i) {
+                w[i] = a.diag_ntt_[j * b + i].limb(l) + blk;
+              }
+              poly_dot2(xb.data(), xa.data(), w.data(), terms,
+                        rq.inner[j].b.limb(l) + blk,
+                        rq.inner[j].a.limb(l) + blk, len, q);
+            }
+          }
+        }
+      }
+      for (std::size_t j : mine) {
+        Ciphertext& acc = rq.inner[j];
+        acc.from_ntt();
+        if (j > 0) {
+          const BsgsKeys::Rot& rot = rotation_key(*rq.keys, j * b);
+          rq.eval->decompose_ntt_digits(acc.a, gdigits);
+          acc = rq.eval->rotate_hoisted(acc, gdigits, *rot.coeff, *rot.ntt,
+                                        *rot.ksk);
+          ls.rotations += 1;
+        }
       }
     }
   };

@@ -1,5 +1,6 @@
 #include "hmvp/hmvp.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "bfv/noise.h"
@@ -7,14 +8,16 @@
 #include "nt/bitops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ring/poly_ops.h"
 
 namespace cham {
 
 namespace {
 
-// Group nodes that share one pass over the rotations: σ runs outside the
-// tile's nodes, so each frozen rotation is read once per tile instead of
-// once per node. At paper params, 128×4096, an in-process A/B measured 8
+// Group nodes that share one pass over the rotations: the tile's nodes
+// run inside each coefficient block, so a block of every rotation is
+// fetched once per tile instead of once per node. At paper params,
+// 128×4096, an in-process A/B of the earlier per-product loop measured 8
 // about 0.5 ms per request ahead of 1.
 constexpr std::size_t kNodeTile = 8;
 
@@ -162,13 +165,14 @@ class QBuilder {
   std::size_t g_ = 0, o_ = 0;
 };
 
-// Supplies the NTT-domain operand Q_σ of (output g, node o, chunk c).
-// For a given node, chunk 0 / σ 0 is always requested first, and σ runs
-// through 0..2^L-1 within each chunk.
+// Supplies the NTT-domain operands Q_0..Q_{2^L-1} of (output g, node o,
+// chunk c) into q[σ]. For a given node, chunk 0 is always requested
+// first and chunks run in order; the operands stay valid until the
+// lane's next request.
 struct LaneScratch;
-using QProvider = std::function<const RnsPoly&(
-    std::size_t g, std::size_t o, std::size_t sigma, std::size_t c,
-    LaneScratch&)>;
+using QProvider = std::function<void(std::size_t g, std::size_t o,
+                                     std::size_t c, LaneScratch&,
+                                     const RnsPoly** q)>;
 
 // Per-lane scratch arena: every buffer a rotation or a group node needs,
 // allocated once per run so the lanes do no steady-state allocation.
@@ -177,28 +181,38 @@ struct LaneScratch {
   RnsPoly a_qp;  // base_qp: a rotation's a, to be rescaled
   RnsPoly a_q;   // base_q, coeff: a rotation's rounded a
   std::unique_ptr<QBuilder> q;  // streaming path: the node's Q recursion
-  RnsPoly q_ntt;                // streaming path: Q_σ lifted to base_qp
+  std::vector<RnsPoly> q_ntt;   // streaming path: one chunk's Q_σ, base_qp
+  // The group stage's dot products: a tile's operand sets (node-major,
+  // one term per (chunk, σ) of the product), the term pointers of one
+  // coefficient block, and the streaming path's per-chunk partial sums.
+  std::vector<const RnsPoly*> q_set;
+  std::vector<const u64*> xb, xa, w;
+  simd::AlignedU64Vec part_b, part_a;
 
   LaneScratch(const BfvContextPtr& ctx, const HmvpEngine& engine,
-              const Geometry& geo, bool streaming)
+              const Geometry& geo, bool streaming, std::size_t tile,
+              std::size_t terms)
       : perm(ctx->base_qp(), true),
         a_qp(ctx->base_qp(), true),
-        a_q(ctx->base_q(), false) {
+        a_q(ctx->base_q(), false),
+        q_set(tile * terms),
+        xb(terms),
+        xa(terms),
+        w(terms) {
     if (streaming) {
       q = std::make_unique<QBuilder>(engine, geo);
-      q_ntt = RnsPoly(ctx->base_qp(), true);
+      q_ntt.assign(geo.sigmas, RnsPoly(ctx->base_qp(), true));
+      part_b.resize(kDotBlock);
+      part_a.resize(kDotBlock);
     }
   }
 };
 
 // Per-request state, reused by every request of a batch in turn (no
-// buffer scales with the batch). A request's rotations move into their
-// Shoup form, and the previous request's frozen set is released before
-// the next rotations are built, so one rotation set is resident at a
-// time.
+// buffer scales with the batch): each request overwrites the one
+// rotation set in place.
 struct RequestScratch {
-  std::vector<Ciphertext> rot;          // [c·2^L + σ] rot_σ(ct_c), base_qp eval
-  std::vector<ShoupCiphertext> frozen;  // Shoup form of rot (adopts it)
+  std::vector<Ciphertext> rot;  // [c·2^L + σ] rot_σ(ct_c), base_qp eval
   // Key-switch digits of round(a/p) of rot[c·2^L + σ] for σ < 2^{L-1}:
   // the rotations that are rotated again by a higher level.
   std::vector<std::vector<RnsPoly>> digits;  // [c·2^{L-1} + σ]
@@ -207,7 +221,10 @@ struct RequestScratch {
 
   RequestScratch(const BfvContextPtr& ctx, const Geometry& geo) {
     rot.resize(geo.chunks * geo.sigmas);
-    frozen.resize(rot.size());
+    for (auto& ct : rot) {
+      ct.b = RnsPoly(ctx->base_qp(), true);
+      ct.a = RnsPoly(ctx->base_qp(), true);
+    }
     if (geo.levels > 0) {
       digits.assign(geo.chunks * (geo.sigmas / 2),
                     std::vector<RnsPoly>(ctx->dnum(),
@@ -219,16 +236,6 @@ struct RequestScratch {
       node.a_q = RnsPoly(ctx->base_q(), false);
     }
     node_a.assign(geo.nodes, RnsPoly(ctx->base_qp(), true));
-  }
-
-  // Release the last request's frozen rotations, then bind fresh
-  // rotation buffers (the pool hands the same slabs back).
-  void start_request(const BfvContextPtr& ctx) {
-    for (auto& f : frozen) f = ShoupCiphertext();
-    for (auto& ct : rot) {
-      ct.b = RnsPoly(ctx->base_qp(), true);
-      ct.a = RnsPoly(ctx->base_qp(), true);
-    }
   }
 };
 
@@ -277,6 +284,47 @@ void check_request(const BfvContextPtr& ctx,
   }
 }
 
+// Stage 2 (MultPoly) of tile nodes [lo, hi) over chunks [c0, c0 + span):
+// node o's accumulators get Σ_{c,σ} rot_σ(ct_c) ∘ Q_σ(g, o, c) on the b
+// and a sides in one dot2 pass per limb and coefficient block. The
+// nodes run inside each block, so a block of every rotation is fetched
+// once per tile and each Q_σ once; s.q_set holds the tile's operands.
+// A span after the first adds its partial sums to the accumulators.
+void mac_tile(RequestScratch& rs, const Geometry& geo, std::size_t lo,
+              std::size_t hi, std::size_t c0, std::size_t span,
+              LaneScratch& s) {
+  const RnsBasePtr& base = rs.rot[0].b.base();
+  const std::size_t terms = span * geo.sigmas;
+  for (std::size_t l = 0; l < base->size(); ++l) {
+    const Modulus& q = base->modulus(l);
+    for (std::size_t blk = 0; blk < geo.n; blk += kDotBlock) {
+      const std::size_t len = std::min(kDotBlock, geo.n - blk);
+      for (std::size_t j = 0; j < terms; ++j) {
+        const Ciphertext& r = rs.rot[c0 * geo.sigmas + j];
+        s.xb[j] = r.b.limb(l) + blk;
+        s.xa[j] = r.a.limb(l) + blk;
+      }
+      for (std::size_t o = lo; o < hi; ++o) {
+        const RnsPoly* const* q_o = s.q_set.data() + (o - lo) * terms;
+        for (std::size_t j = 0; j < terms; ++j) {
+          s.w[j] = q_o[j]->limb(l) + blk;
+        }
+        u64* out_b = rs.nodes[o].b_qp.limb(l) + blk;
+        u64* out_a = rs.node_a[o].limb(l) + blk;
+        if (c0 == 0) {
+          poly_dot2(s.xb.data(), s.xa.data(), s.w.data(), terms, out_b,
+                    out_a, len, q.value());
+        } else {
+          poly_dot2(s.xb.data(), s.xa.data(), s.w.data(), terms,
+                    s.part_b.data(), s.part_a.data(), len, q.value());
+          poly_add(out_b, s.part_b.data(), out_b, len, q);
+          poly_add(out_a, s.part_a.data(), out_a, len, q);
+        }
+      }
+    }
+  }
+}
+
 // Publish one finished run's counters to the process-wide registry (the
 // CHAM-BENCH snapshot side of the observability layer).
 void publish_stats(const HmvpStats& st, std::size_t rows) {
@@ -297,10 +345,12 @@ void publish_stats(const HmvpStats& st, std::size_t rows) {
 //   rotate  ct(v) to the NTT domain, then its 2^L - 1 rotations through
 //           the level automorphisms (one hoisted decomposition for the
 //           level-1..L rotations of ct(v) itself; a composite re-
-//           decomposes its parent), all p-scaled over base_qp and
-//           frozen into Shoup form;
-//   group   per packed output, node o = Σ_{σ,c} rot_σ(ct_c) ∘ Q_σ, with
-//           one a-side INTT and rescale, on pool lanes;
+//           decomposes its parent), all p-scaled over base_qp and left
+//           plain: the group stage's lazy dot product needs no Shoup
+//           quotients;
+//   group   per packed output, node o = Σ_{σ,c} rot_σ(ct_c) ∘ Q_σ (one
+//           dot2 pass for b and a), with one a-side INTT and rescale, on
+//           pool lanes;
 //   pack    the NTT-resident tree from level L + 1 (pack_nodes).
 // A single request is the batch=1 case, so every entry point shares one
 // code path and results are bit-exact across batch sizes and thread
@@ -327,16 +377,19 @@ std::vector<HmvpResult> hmvp_run_batch(
   const int max_lanes = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(std::max(threads, 1)),
                             lane_work));
+  // Group nodes per tile, and chunks per dot product: the streaming
+  // provider builds one node's Q set one chunk at a time, so it runs
+  // node by node and chunk by chunk.
+  const std::size_t tile = streaming ? 1 : kNodeTile;
+  const std::size_t span = streaming ? 1 : geo.chunks;
+  const std::size_t terms = span * geo.sigmas;
   std::vector<LaneScratch> lanes;
   lanes.reserve(static_cast<std::size_t>(max_lanes));
   for (int i = 0; i < max_lanes; ++i) {
-    lanes.emplace_back(ctx, engine, geo, streaming);
+    lanes.emplace_back(ctx, engine, geo, streaming, tile, terms);
   }
   RequestScratch rs(ctx, geo);
   const PackKeys no_keys;
-  // Group nodes per tile: the streaming provider builds one node's Q set
-  // at a time, so it runs node by node.
-  const std::size_t tile = streaming ? 1 : kNodeTile;
   const std::size_t qp_limbs = ctx->base_qp()->size();
   const std::size_t half = geo.sigmas / 2;
 
@@ -357,7 +410,6 @@ std::vector<HmvpResult> hmvp_run_batch(
       keys = pack_eval.evk().pack_keys(*pack_gk, log2_exact(geo.pack_count));
     }
     const PackKeys& pk = keys ? *keys : no_keys;
-    rs.start_request(ctx);
 
     {
       // Stage 1 for the ciphertext side: every chunk of ct(v) to the
@@ -407,9 +459,6 @@ std::vector<HmvpResult> hmvp_run_batch(
         });
       }
       st.keyswitches += geo.chunks * (geo.sigmas - 1);
-      pool.parallel_for(0, rs.rot.size(), max_lanes, [&](std::size_t i) {
-        rs.frozen[i] = ShoupCiphertext(std::move(rs.rot[i]));
-      });
     }
 
     res.packed.reserve(geo.outputs);
@@ -436,28 +485,22 @@ std::vector<HmvpResult> hmvp_run_batch(
           const std::size_t lo = k * tile, hi = std::min(live, lo + tile);
           CHAM_SPAN_ARG("hmvp.group", g * geo.nodes + lo);
           {
-            // Stage 2 (MultPoly): one Shoup product per rotation, chunk
-            // and node against the node's Q_σ. σ runs outside the tile's
-            // nodes so each rotation is fetched once per tile.
+            // Stage 2 (MultPoly): one lazy (b, a) dot product per node,
+            // limb and coefficient block over every (chunk, σ) term.
             CHAM_SPAN_ARG("hmvp.multiply_plain_ntt",
                           (hi - lo) * geo.chunks * geo.sigmas);
-            for (std::size_t c = 0; c < geo.chunks; ++c) {
-              for (std::size_t sigma = 0; sigma < geo.sigmas; ++sigma) {
-                const ShoupCiphertext& r = rs.frozen[c * geo.sigmas + sigma];
-                for (std::size_t o = lo; o < hi; ++o) {
-                  const RnsPoly& q = q_at(g, o, sigma, c, s);
-                  RnsPoly& acc_b = rs.nodes[o].b_qp;
-                  RnsPoly& acc_a = rs.node_a[o];
-                  if (c == 0 && sigma == 0) {
-                    acc_a.set_ntt_form(true);
-                    r.b.mul_pointwise(q, acc_b);
-                    r.a.mul_pointwise(q, acc_a);
-                  } else {
-                    r.b.mul_pointwise_acc(q, acc_b);
-                    r.a.mul_pointwise_acc(q, acc_a);
-                  }
+            for (std::size_t o = lo; o < hi; ++o) {
+              rs.node_a[o].set_ntt_form(true);
+            }
+            for (std::size_t c0 = 0; c0 < geo.chunks; c0 += span) {
+              for (std::size_t o = lo; o < hi; ++o) {
+                for (std::size_t c = c0; c < c0 + span; ++c) {
+                  q_at(g, o, c, s,
+                       s.q_set.data() + (o - lo) * terms +
+                           (c - c0) * geo.sigmas);
                 }
               }
+              mac_tile(rs, geo, lo, hi, c0, span, s);
             }
           }
           for (std::size_t o = lo; o < hi; ++o) {
@@ -540,13 +583,15 @@ HmvpResult HmvpEngine::multiply(const RowSource& a,
   check_request(ctx_, ct_v, geo.chunks);
   // Streaming stage 1 (plaintext side): each lane runs its node's Q
   // recursion per chunk, then lifts and transforms each Q_σ.
-  const QProvider q_at = [&](std::size_t g, std::size_t o, std::size_t sigma,
-                             std::size_t c, LaneScratch& s) -> const RnsPoly& {
+  const QProvider q_at = [&](std::size_t g, std::size_t o, std::size_t c,
+                             LaneScratch& s, const RnsPoly** q) {
     CHAM_SPAN_ARG("hmvp.encode_row", g * geo.nodes + o);
-    if (c == 0 && sigma == 0) s.q->load(a, g, o);
-    if (sigma == 0) s.q->build(c);
-    eval_.transform_plain_ntt_into(s.q->q(sigma), s.q_ntt);
-    return s.q_ntt;
+    if (c == 0) s.q->load(a, g, o);
+    s.q->build(c);
+    for (std::size_t sigma = 0; sigma < geo.sigmas; ++sigma) {
+      eval_.transform_plain_ntt_into(s.q->q(sigma), s.q_ntt[sigma]);
+      q[sigma] = &s.q_ntt[sigma];
+    }
   };
   auto results = hmvp_run_batch(*this, eval_, gk_, geo,
                                 {HmvpBatchEntry{&ct_v}}, threads,
@@ -614,9 +659,11 @@ std::vector<HmvpResult> HmvpEngine::multiply_encoded_batch(
     CHAM_CHECK_MSG(entry.ct_v != nullptr, "null request in batch");
     check_request(ctx_, *entry.ct_v, geo.chunks);
   }
-  const QProvider q_at = [&](std::size_t g, std::size_t o, std::size_t sigma,
-                             std::size_t c, LaneScratch&) -> const RnsPoly& {
-    return a.q_ops_[geo.op_index(g, o, sigma, c)];
+  const QProvider q_at = [&](std::size_t g, std::size_t o, std::size_t c,
+                             LaneScratch&, const RnsPoly** q) {
+    for (std::size_t sigma = 0; sigma < geo.sigmas; ++sigma) {
+      q[sigma] = &a.q_ops_[geo.op_index(g, o, sigma, c)];
+    }
   };
   return hmvp_run_batch(*this, eval_, gk_, geo, batch, threads,
                         /*streaming=*/false, q_at);

@@ -73,6 +73,14 @@ void poly_mul_shoup_acc(const u64* x, const u64* w_op, const u64* w_quo,
   simd::active().mul_shoup_acc(x, w_op, w_quo, out, n, q);
 }
 
+void poly_dot2(const u64* const* xb, const u64* const* xa,
+               const u64* const* w, std::size_t k, u64* out_b, u64* out_a,
+               std::size_t n, u64 q) {
+  static obs::Counter& calls = simd_counter("simd.dot2");
+  calls.add();
+  simd::active().dot2(xb, xa, w, k, out_b, out_a, n, q);
+}
+
 void poly_shoup_quotients(const u64* w, u64* quo, std::size_t n,
                           const Modulus& q, const simd::Kernels& k) {
   CHAM_CHECK(w != quo);

@@ -41,6 +41,21 @@ void poly_mul_shoup(const u64* x, const u64* w_op, const u64* w_quo,
 void poly_mul_shoup_acc(const u64* x, const u64* w_op, const u64* w_quo,
                         u64* out, std::size_t n, u64 q);
 
+// MultPoly's one-pass (b, a) MAC: out_b = Σ_{j<k} xb[j] ∘ w[j] and
+// out_a = Σ_{j<k} xa[j] ∘ w[j] (mod q) over n coefficients, every
+// operand plain and reduced, one reduction per output coefficient
+// (dispatched dot2 kernel). Each w[j] is read once for both sides.
+// Outputs must not alias the operands.
+void poly_dot2(const u64* const* xb, const u64* const* xa,
+               const u64* const* w, std::size_t k, u64* out_b, u64* out_a,
+               std::size_t n, u64 q);
+
+// Coefficients per poly_dot2 call in the HMVP and BSGS MultPoly loops:
+// one block of every operand of a dot product (16 rotations × (b, a) ×
+// 2 KiB at the paper's 2^L = 16) stays cache-resident while several
+// plaintext operand sets stream past it.
+inline constexpr std::size_t kDotBlock = 256;
+
 // quo[i] = floor(w[i]·2^64/q), the Shoup quotient of each w[i] < q,
 // computed exactly without a 128-bit division: w·2^64 = quo·q + r with
 // r = w·2^64 mod q, so quo ≡ -r·q^{-1} (mod 2^64), and quo < 2^64

@@ -141,8 +141,9 @@ class RnsPoly {
 // carries its precomputed quotient floor(w·2^64/q), so repeated pointwise
 // products against *varying* operands cost one high-half multiply + one
 // low multiply per coefficient instead of a Barrett reduction. This is
-// the natural form for HMVP's ct(v) chunks, which are reused across up to
-// N matrix rows. Results are bit-exact with the Barrett path.
+// the natural form for long-lived operands — key-switch keys and the
+// pack tree's monomial twiddles — frozen once and reused by every
+// request. Results are bit-exact with the Barrett path.
 class ShoupPoly {
  public:
   ShoupPoly() = default;

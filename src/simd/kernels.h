@@ -84,6 +84,17 @@ struct Kernels {
   void (*mul_scalar_shoup_acc)(const u64* x, u64 op, u64 quo, u64* out,
                                std::size_t n, u64 q);
 
+  // --- lazy (b, a) dot product: MultPoly's one-pass MAC ---
+  // out_b[i] = Σ_{j<k} xb[j][i]·w[j][i] mod q, out_a[i] likewise with
+  // xa[j], for i in [0, n). Every operand is plain (no Shoup quotient)
+  // and reduced below q; outputs are fully reduced. Products accumulate
+  // unreduced and each output is reduced once; the kernel folds a sum
+  // before it can overflow, so any k >= 1 is valid. Outputs must not
+  // alias the operands.
+  void (*dot2)(const u64* const* xb, const u64* const* xa,
+               const u64* const* w, std::size_t k, u64* out_b, u64* out_a,
+               std::size_t n, u64 q);
+
   // --- Harvey-lazy NTT butterfly sweeps (contiguous spans) ---
   // Forward CT radix-2: inputs in [0, 4q);
   //   u = x[j] corrected once by -2q, v = lazy(y[j]·w) in [0, 2q),

@@ -33,6 +33,10 @@ struct Avx2 {
   }
   static inline reg add(reg a, reg b) { return _mm256_add_epi64(a, b); }
   static inline reg sub(reg a, reg b) { return _mm256_sub_epi64(a, b); }
+  // Low 32 bits of each lane times low 32 bits: the full 64-bit product.
+  static inline reg mul32(reg a, reg b) { return _mm256_mul_epu32(a, b); }
+  static inline reg shr32(reg v) { return _mm256_srli_epi64(v, 32); }
+  static inline reg shl32(reg v) { return _mm256_slli_epi64(v, 32); }
 
   static inline reg mullo(reg a, reg b) {
     const reg lo = _mm256_mul_epu32(a, b);
@@ -164,6 +168,7 @@ const Kernels* avx2_table() {
       K::mul_shoup_acc,
       K::mul_scalar_shoup,
       K::mul_scalar_shoup_acc,
+      K::dot2,
       K::ntt_fwd_bfly,
       K::ntt_fwd_dit4,
       K::ntt_inv_bfly,

@@ -36,6 +36,7 @@ const Kernels* avx512_table() {
       K::mul_shoup_acc,
       K::mul_scalar_shoup,
       K::mul_scalar_shoup_acc,
+      K::dot2,
       K::ntt_fwd_bfly,
       K::ntt_fwd_dit4,
       K::ntt_inv_bfly,

@@ -35,6 +35,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "simd/kernels_scalar.h"
 #include "simd/kernels_scalar104.h"
@@ -232,6 +234,81 @@ void dw_mul_scalar_shoup_acc(const u64* x, u64 op, u64 quo, u64* out,
   }
 }
 
+// Lazy (b, a) dot product on the single-word path. x·w < q^2 < 2^100
+// splits into madd52lo (< 2^52) and madd52hi (< 2^48) halves that add
+// into two 64-bit lanes per output with no quotient: the low lane takes
+// kDotFold52 products on top of a value < 2^52 before it could wrap, so
+// the sum H·2^52 + L is folded (reduced below q) at that cadence and
+// once at the end. The reduction splits H + (L >> 52) = H1·2^52 + H0
+// and sums three 52-bit lazy Shoup products,
+//   L mod 2^52 · 1 + H0 · (2^52 mod q) + H1 · (2^104 mod q),
+// each in [0, 2q) (every multiplicand < 2^52), then corrects [0, 6q)
+// to [0, q).
+constexpr std::size_t kDotFold52 = 4095;
+
+void dot2_52(const u64* const* xb, const u64* const* xa, const u64* const* w,
+             std::size_t k, u64* out_b, u64* out_a, std::size_t n, u64 q) {
+  using V = Ifma;
+  using K = K52;
+  using u128 = unsigned __int128;
+  // Broadcast 52-bit Shoup pair (c mod q, floor((c mod q)·2^52 / q)).
+  struct Pair52 {
+    V::reg op, quo;
+  };
+  const auto pair52 = [q](u128 c) {
+    const u64 w = static_cast<u64>(c % q);
+    return Pair52{V::set1(w), V::set1(static_cast<u64>((u128{w} << 52) / q))};
+  };
+  const Pair52 one = pair52(1);
+  const Pair52 c52 = pair52(u128{1} << 52);
+  const Pair52 c104 = pair52(u128{1} << 104);
+  const V::reg vq = V::set1(q);
+  const V::reg v2q = V::set1(q << 1);
+  const V::reg v4q = V::set1(q << 2);
+  const V::reg mask = V::set1((1ULL << 52) - 1);
+  const auto reduce = [&](V::reg hi, V::reg lo) {
+    hi = V::add(hi, _mm512_srli_epi64(lo, 52));
+    V::reg s = V::shoup_lazy(V::band(lo, mask), one.op, one.quo, vq);
+    s = V::add(s, V::shoup_lazy(V::band(hi, mask), c52.op, c52.quo, vq));
+    s = V::add(s, V::shoup_lazy(_mm512_srli_epi64(hi, 52), c104.op,
+                                c104.quo, vq));
+    return K::csub(K::csub(K::csub(s, v4q), v2q), vq);
+  };
+  const V::reg zero = V::set1(0);
+  std::size_t i = 0;
+  for (; i + V::W <= n; i += V::W) {
+    V::reg bl = zero, bh = zero, al = zero, ah = zero;
+    for (std::size_t j0 = 0; j0 < k; j0 += kDotFold52) {
+      if (j0 > 0) {
+        bl = reduce(bh, bl);
+        al = reduce(ah, al);
+        bh = ah = zero;
+      }
+      const std::size_t j1 = std::min(k, j0 + kDotFold52);
+      for (std::size_t j = j0; j < j1; ++j) {
+        const V::reg wj = V::load(w[j] + i);
+        const V::reg b = V::load(xb[j] + i);
+        const V::reg a = V::load(xa[j] + i);
+        bl = _mm512_madd52lo_epu64(bl, b, wj);
+        bh = _mm512_madd52hi_epu64(bh, b, wj);
+        al = _mm512_madd52lo_epu64(al, a, wj);
+        ah = _mm512_madd52hi_epu64(ah, a, wj);
+      }
+    }
+    V::store(out_b + i, reduce(bh, bl));
+    V::store(out_a + i, reduce(ah, al));
+  }
+  if (i < n) {
+    const scalar::DotReducer red(q);
+    for (; i < n; ++i) red.at(xb, xa, w, k, i, out_b, out_a);
+  }
+}
+
+void dot2(const u64* const* xb, const u64* const* xa, const u64* const* w,
+          std::size_t k, u64* out_b, u64* out_a, std::size_t n, u64 q) {
+  (use52(q) ? dot2_52 : K104::dot2)(xb, xa, w, k, out_b, out_a, n, q);
+}
+
 void mul_scalar_shoup(const u64* x, u64 op, u64 quo, u64* out,
                       std::size_t n, u64 q) {
   (use52(q) ? K52::mul_scalar_shoup : K104::mul_scalar_shoup)(x, op, quo,
@@ -316,6 +393,7 @@ const Kernels* avx512ifma_table() {
       mul_shoup_acc,
       mul_scalar_shoup,
       mul_scalar_shoup_acc,
+      dot2,
       ntt_fwd_bfly,
       ntt_fwd_dit4,
       ntt_inv_bfly,

@@ -63,6 +63,12 @@ void mul_scalar_shoup_acc(const u64* x, u64 op, u64 quo, u64* out,
   }
 }
 
+void dot2(const u64* const* xb, const u64* const* xa, const u64* const* w,
+          std::size_t k, u64* out_b, u64* out_a, std::size_t n, u64 q) {
+  const DotReducer red(q);
+  for (std::size_t i = 0; i < n; ++i) red.at(xb, xa, w, k, i, out_b, out_a);
+}
+
 void ntt_fwd_bfly(u64* x, u64* y, std::size_t count, u64 w_op, u64 w_quo,
                   u64 q) {
   const u64 two_q = q << 1;
@@ -287,6 +293,7 @@ const Kernels* scalar_table() {
       scalar::mul_shoup_acc,
       scalar::mul_scalar_shoup,
       scalar::mul_scalar_shoup_acc,
+      scalar::dot2,
       scalar::ntt_fwd_bfly,
       scalar::ntt_fwd_dit4,
       scalar::ntt_inv_bfly,

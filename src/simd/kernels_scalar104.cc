@@ -257,6 +257,7 @@ const Kernels* scalar104_table() {
       scalar104::mul_shoup_acc,
       scalar104::mul_scalar_shoup,
       scalar104::mul_scalar_shoup_acc,
+      scalar::dot2,
       scalar104::ntt_fwd_bfly,
       scalar104::ntt_fwd_dit4,
       scalar104::ntt_inv_bfly,

@@ -237,6 +237,7 @@ const Kernels* scalar52_table() {
       scalar52::mul_shoup_acc,
       scalar52::mul_scalar_shoup,
       scalar52::mul_scalar_shoup_acc,
+      scalar::dot2,
       scalar52::ntt_fwd_bfly,
       scalar52::ntt_fwd_dit4,
       scalar52::ntt_inv_bfly,

@@ -78,11 +78,10 @@ std::vector<Ciphertext> oracle_hmvp(const HmvpEngine& engine,
   const Modulus& t = ctx->plain_modulus();
   const u64 scale = t.inv(static_cast<u64>(pack_count % t.value()));
 
-  std::vector<ShoupCiphertext> frozen;
+  std::vector<Ciphertext> ct_ntt;
   for (const auto& ct : ct_v) {
-    Ciphertext c = ct;
-    c.to_ntt();
-    frozen.emplace_back(c);
+    ct_ntt.push_back(ct);
+    ct_ntt.back().to_ntt();
   }
   std::vector<u64> row(cols);
   std::vector<Ciphertext> packed;
@@ -96,16 +95,16 @@ std::vector<Ciphertext> oracle_hmvp(const HmvpEngine& engine,
     for (std::size_t r = 0; r < std::min(n, rows - g * n); ++r) {
       a.row(g * n + r, row.data());
       Ciphertext prod;
-      prod.b = RnsPoly(ctx->base_qp(), true);
-      prod.a = RnsPoly(ctx->base_qp(), true);
       for (std::size_t c = 0; c < chunks; ++c) {
-        const RnsPoly pt = eval.transform_plain_ntt(
-            engine.encode_row_chunk(row.data(), cols, c, scale),
-            ctx->base_qp());
+        Ciphertext term = ct_ntt[c];
+        eval.multiply_plain_ntt_inplace(
+            term, eval.transform_plain_ntt(
+                      engine.encode_row_chunk(row.data(), cols, c, scale),
+                      ctx->base_qp()));
         if (c == 0) {
-          eval.multiply_plain_ntt(frozen[c], pt, prod);
+          prod = std::move(term);
         } else {
-          eval.multiply_plain_ntt_acc(frozen[c], pt, prod);
+          eval.add_inplace(prod, term);
         }
       }
       prod.from_ntt();

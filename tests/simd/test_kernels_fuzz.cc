@@ -174,6 +174,77 @@ TEST_P(KernelsFuzzTest, ShoupProductsMatchScalar) {
   }
 }
 
+// The lazy (b, a) dot product against the scalar table and a u128
+// oracle (Σ of exact per-term residues). Term counts straddle the fold
+// cadences: the IFMA single-word kernel folds its 64-bit low lanes every
+// 4095 products, the u128 kernels every 15 products at q ~ 2^62.
+// Lengths leave a tail past every lane width. The "heavy" operands push
+// the accumulators a kernel folds toward overflow: every operand q - 1
+// (the largest 128-bit sum), or below 2^50 products whose low 52 bits
+// are >= 15/16 · 2^52, so 5000 unfolded terms would wrap the IFMA low
+// lane.
+TEST_P(KernelsFuzzTest, Dot2MatchesScalarAndU128Oracle) {
+  Rng rng(0x51D000F);
+  u64 q62 = (1ULL << 62) - 1;
+  while (!is_prime(q62)) q62 -= 2;
+  constexpr u64 kQ61 = (1ULL << 61) - 1;  // 2^61 - 1 (Mersenne)
+  constexpr u64 kLow52 = (1ULL << 52) - 1;
+  for (u64 q : {kQ0, kQ1, kP, kQ61, q62}) {
+    for (std::size_t k_terms : {1, 2, 16, 33, 5000}) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{13}, std::size_t{37}}) {
+        for (bool heavy : {false, true}) {
+          std::vector<std::vector<u64>> xb(k_terms, std::vector<u64>(n)),
+              xa = xb, w = xb;
+          std::vector<const u64*> pb, pa, pw;
+          for (std::size_t j = 0; j < k_terms; ++j) {
+            for (std::size_t i = 0; i < n; ++i) {
+              // Heavy w >= q/2: every x·w spans many 2^52 wraps, so a
+              // large low half is one draw in ~16.
+              w[j][i] = !heavy                   ? rng.uniform(q)
+                        : q >= simd::kIfmaQBound ? q - 1
+                                                 : q / 2 + rng.uniform(q / 2);
+              for (u64* x : {&xb[j][i], &xa[j][i]}) {
+                if (!heavy) {
+                  *x = rng.uniform(q);
+                } else if (q >= simd::kIfmaQBound) {
+                  *x = q - 1;
+                } else {
+                  do {
+                    *x = rng.uniform(q);
+                  } while ((*x * w[j][i] & kLow52) < kLow52 / 16 * 15);
+                }
+              }
+            }
+            pb.push_back(xb[j].data());
+            pa.push_back(xa[j].data());
+            pw.push_back(w[j].data());
+          }
+          std::vector<u64> want_b(n, 0), want_a(n, 0);
+          for (std::size_t j = 0; j < k_terms; ++j) {
+            for (std::size_t i = 0; i < n; ++i) {
+              want_b[i] = static_cast<u64>(
+                  (want_b[i] + static_cast<u128>(xb[j][i]) * w[j][i] % q) % q);
+              want_a[i] = static_cast<u64>(
+                  (want_a[i] + static_cast<u128>(xa[j][i]) * w[j][i] % q) % q);
+            }
+          }
+          std::vector<u64> got_b(n), got_a(n), ref_b(n), ref_a(n);
+          k().dot2(pb.data(), pa.data(), pw.data(), k_terms, got_b.data(),
+                   got_a.data(), n, q);
+          ref().dot2(pb.data(), pa.data(), pw.data(), k_terms, ref_b.data(),
+                     ref_a.data(), n, q);
+          EXPECT_EQ(got_b, want_b) << "dot2 b q=" << q << " k=" << k_terms
+                                   << " n=" << n << " heavy=" << heavy;
+          EXPECT_EQ(got_a, want_a) << "dot2 a q=" << q << " k=" << k_terms
+                                   << " n=" << n << " heavy=" << heavy;
+          EXPECT_EQ(got_b, ref_b) << "dot2 b vs scalar q=" << q;
+          EXPECT_EQ(got_a, ref_a) << "dot2 a vs scalar q=" << q;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelsFuzzTest, BarrettReduceMatchesScalarForAnyInput) {
   Rng rng(0x51D000E);
   // Every tail length from 1 to 17 (past both lane widths and the 2x

@@ -59,6 +59,10 @@ KNOWN_LEVELS = ("scalar", "avx2", "avx512", "avx512ifma")
 # counters are deterministic and must match exactly.
 KERNEL_TIME_TOLERANCE = 0.75  # absolute ns/coeff: gates a 2x slowdown
 KERNEL_RATIO_TOLERANCE = 0.6  # kernel-vs-kernel speed-ups
+PAIRED_RATIO_TOLERANCE = 0.3  # interleaved same-run A/B ratios: both
+                              # sides see the same frequency/scheduler
+                              # drift, so the gate can trip on a 1.4x
+                              # loss instead of a 2.5x one
 MODEL_TIME_TOLERANCE = 0.10   # device-model seconds: deterministic
 HEADLINE_SPEEDUP_TOLERANCE = 0.9  # order-of-magnitude sanity floor
 PEAK_RSS_TOLERANCE = 0.5      # MiB high-water mark: generous, but gates
@@ -129,6 +133,9 @@ def flatten(records, source="sample"):
             if "speedup" in obj and obj.get("speedup", 1) != 1:
                 put(key + "/speedup", obj["speedup"],
                     KERNEL_RATIO_TOLERANCE, "higher")
+            if "paired_speedup" in obj:
+                put(key + "/paired_speedup", obj["paired_speedup"],
+                    PAIRED_RATIO_TOLERANCE, "higher")
         elif tag == "CHAM-BENCH" and "rns" in obj:
             # Span-wise CRT engine lines (bench_kernels bench_crt): wall
             # clock per coefficient plus the span-vs-per-coefficient
@@ -382,6 +389,8 @@ def cmd_selftest(_args):
         '"threads":1,"speedup":1.5,"simd_level":"avx2"}',
         'CHAM-BENCH {"kernel":"dw_pointwise_mac","ns_per_coeff":0.5,'
         '"threads":1,"speedup":1.44,"simd_level":"avx2"}',
+        'CHAM-BENCH {"kernel":"dot2_k16:avx2","ns_per_coeff":40.0,'
+        '"threads":1,"paired_speedup":1.3,"simd_level":"avx2"}',
         'CHAM-BENCH {"rns":"compose_all","shape":"3x4096",'
         '"ns_per_coeff":8.0,"speedup":6.0,"simd_level":"avx2"}',
         'CHAM-BENCH {"benchmark":"hmvp","shape":"8192x8192",'
@@ -437,6 +446,15 @@ def cmd_selftest(_args):
     failures = compare(baseline, flatten(parse_lines(undw)))
     if not any("dw_pointwise_mac" in f for f in failures):
         print("selftest FAILED: dw speedup collapse passed the gate")
+        return 1
+
+    # Paired dot2-vs-Shoup ratio: a 1.5x loss against the old MAC (the
+    # dot2 table entry falling back to a slow body) must trip the
+    # tighter paired gate.
+    undot = sample.replace('"paired_speedup":1.3', '"paired_speedup":0.85')
+    failures = compare(baseline, flatten(parse_lines(undot)))
+    if not any("dot2_k16" in f for f in failures):
+        print("selftest FAILED: paired dot2 ratio collapse passed the gate")
         return 1
 
     # Span-wise CRT ratio: compose_all falling back to the
